@@ -10,8 +10,10 @@
 // kLess < kLessEq, and cut positions are monotone in that order.
 #pragma once
 
-#include <string>
+#include <limits>
 #include <sstream>
+#include <string>
+#include <type_traits>
 
 #include "storage/predicate.h"
 #include "storage/types.h"
@@ -65,6 +67,11 @@ struct PredicateCuts {
 /// x >  a  ⇒ lower cut (a, kLessEq): result starts where values stop being <= a.
 /// x <= b  ⇒ upper cut (b, kLessEq): result ends where values stop being <= b.
 /// x <  b  ⇒ upper cut (b, kLess):   result ends where values stop being < b.
+///
+/// A float NaN is below no cut, so cracking parks it above every pivot. A
+/// floating-point predicate bounded below only therefore also gets the
+/// upper cut (+inf, kLessEq), which keeps NaN out of the result exactly as
+/// RangePredicate::Matches does.
 template <ColumnValue T>
 PredicateCuts<T> CutsForPredicate(const RangePredicate<T>& pred) {
   PredicateCuts<T> cuts;
@@ -90,6 +97,12 @@ PredicateCuts<T> CutsForPredicate(const RangePredicate<T>& pred) {
       cuts.upper = {pred.high, CutKind::kLess};
       break;
     case BoundKind::kUnbounded:
+      if constexpr (std::is_floating_point_v<T>) {
+        if (cuts.has_lower) {
+          cuts.has_upper = true;
+          cuts.upper = {std::numeric_limits<T>::infinity(), CutKind::kLessEq};
+        }
+      }
       break;
   }
   return cuts;

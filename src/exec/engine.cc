@@ -1,8 +1,8 @@
 #include "exec/engine.h"
 
-#include <algorithm>
 #include <cstdlib>
 #include <functional>
+#include <optional>
 
 #include "util/failpoint.h"
 
@@ -99,20 +99,12 @@ void Database::DropSideways(std::string_view table) {
   }
 }
 
-Result<Table*> Database::PrepareRowDml(
-    std::string_view table, std::vector<TypedColumn<std::int64_t>*>* cols) {
+Result<Table*> Database::PrepareRowDml(std::string_view table) {
   AIDX_ASSIGN_OR_RETURN(Table * t, catalog_.GetTable(table));
   if (t->num_columns() == 0) {
     return Status::InvalidArgument("table '" + t->name() + "' has no columns");
   }
-  cols->clear();
-  cols->reserve(t->num_columns());
-  for (const std::string& name : t->column_names()) {
-    AIDX_ASSIGN_OR_RETURN(Column * raw, t->GetColumn(name));
-    AIDX_ASSIGN_OR_RETURN(TypedColumn<std::int64_t> * typed,
-                          raw->As<std::int64_t>());
-    cols->push_back(typed);
-  }
+  AIDX_RETURN_NOT_OK(t->CheckRowType<std::int64_t>());
   // Validate-phase fault injection: one scoped evaluation per column, so a
   // policy can target "table\x1fcolumn" precisely. The scope string is
   // only built when the point is armed.
@@ -129,57 +121,59 @@ Result<Table*> Database::PrepareRowDml(
   return t;
 }
 
-void Database::LogSidewaysInsert(SidewaysCracker<std::int64_t>& cracker,
-                                 std::string_view head,
-                                 const std::vector<std::string>& names,
+std::vector<Database::SidewaysColumns> Database::SidewaysColumnsOf(
+    std::string_view table, const Table& t) {
+  std::vector<SidewaysColumns> out;
+  ForEachSidewaysOf(table, [&](std::string_view head,
+                               SidewaysCracker<std::int64_t>& cracker) {
+    SidewaysColumns& entry = out.emplace_back();
+    entry.cracker = &cracker;
+    entry.head = t.ColumnIndex(head).value();
+    entry.tails.reserve(cracker.registered_tails().size());
+    for (const std::string& tail : cracker.registered_tails()) {
+      entry.tails.push_back(t.ColumnIndex(tail).value());
+    }
+  });
+  return out;
+}
+
+void Database::LogSidewaysInsert(const SidewaysColumns& sideways,
                                  std::span<const std::int64_t> row,
                                  row_id_t rid) {
-  const auto index_of = [&](std::string_view name) {
-    for (std::size_t i = 0; i < names.size(); ++i) {
-      if (names[i] == name) return i;
-    }
-    AIDX_CHECK(false) << "sideways column '" << name << "' missing from table";
-    return std::size_t{0};
-  };
   std::vector<std::int64_t> tails;
-  tails.reserve(cracker.registered_tails().size());
-  for (const std::string& tail_name : cracker.registered_tails()) {
-    tails.push_back(row[index_of(tail_name)]);
-  }
-  cracker.ApplyInsert(rid, row[index_of(head)], std::move(tails));
+  tails.reserve(sideways.tails.size());
+  for (const std::size_t i : sideways.tails) tails.push_back(row[i]);
+  sideways.cracker->ApplyInsert(rid, row[sideways.head], std::move(tails));
 }
 
 Status Database::Insert(std::string_view table,
                         std::span<const std::int64_t> row) {
-  std::vector<TypedColumn<std::int64_t>*> cols;
-  AIDX_ASSIGN_OR_RETURN(Table * t, PrepareRowDml(table, &cols));
-  if (row.size() != cols.size()) {
+  AIDX_ASSIGN_OR_RETURN(Table * t, PrepareRowDml(table));
+  if (row.size() != t->num_columns()) {
     return Status::InvalidArgument(
         "row has " + std::to_string(row.size()) + " values; table '" + t->name() +
-        "' has " + std::to_string(cols.size()) + " columns");
+        "' has " + std::to_string(t->num_columns()) + " columns");
   }
   // Validate phase done — nothing below can fail (row-atomicity).
   const row_id_t rid = t->AllocateRowId();
   const std::vector<std::string>& names = t->column_names();
   // Paths first: ones that have not materialized yet snapshot the base
   // span now, while it is still untouched.
-  for (std::size_t i = 0; i < cols.size(); ++i) {
+  for (std::size_t i = 0; i < row.size(); ++i) {
     ForEachPathOf(table, names[i],
                   [&](AccessPath<std::int64_t>& path) { path.Insert(row[i]); });
   }
-  ForEachSidewaysOf(table, [&](std::string_view head,
-                               SidewaysCracker<std::int64_t>& cracker) {
-    LogSidewaysInsert(cracker, head, names, row, rid);
-  });
-  for (std::size_t i = 0; i < cols.size(); ++i) cols[i]->Append(row[i]);
-  t->CommitAppendedRow(rid);
+  for (const SidewaysColumns& sideways : SidewaysColumnsOf(table, *t)) {
+    LogSidewaysInsert(sideways, row, rid);
+  }
+  t->AppendRow(row, rid);
   return Status::OK();
 }
 
 Status Database::Insert(std::string_view table, std::string_view column,
                         std::int64_t value) {
   AIDX_ASSIGN_OR_RETURN(Table * t, catalog_.GetTable(table));
-  AIDX_RETURN_NOT_OK(t->GetColumn(column).status());
+  AIDX_RETURN_NOT_OK(t->ColumnIndex(column).status());
   if (t->num_columns() != 1) {
     return Status::InvalidArgument(
         "column-addressed insert into multi-column table '" + t->name() +
@@ -190,9 +184,8 @@ Status Database::Insert(std::string_view table, std::string_view column,
 
 Status Database::InsertBatch(std::string_view table,
                              std::span<const std::int64_t> rows) {
-  std::vector<TypedColumn<std::int64_t>*> cols;
-  AIDX_ASSIGN_OR_RETURN(Table * t, PrepareRowDml(table, &cols));
-  const std::size_t width = cols.size();
+  AIDX_ASSIGN_OR_RETURN(Table * t, PrepareRowDml(table));
+  const std::size_t width = t->num_columns();
   if (rows.size() % width != 0) {
     return Status::InvalidArgument(
         "row-major batch of " + std::to_string(rows.size()) +
@@ -211,15 +204,12 @@ Status Database::InsertBatch(std::string_view table,
       path.InsertBatch(column_values);
     });
   }
+  const std::vector<SidewaysColumns> sideways = SidewaysColumnsOf(table, *t);
   for (std::size_t r = 0; r < num_rows; ++r) {
     const std::span<const std::int64_t> row = rows.subspan(r * width, width);
     const row_id_t rid = t->AllocateRowId();
-    ForEachSidewaysOf(table, [&](std::string_view head,
-                                 SidewaysCracker<std::int64_t>& cracker) {
-      LogSidewaysInsert(cracker, head, names, row, rid);
-    });
-    for (std::size_t c = 0; c < width; ++c) cols[c]->Append(row[c]);
-    t->CommitAppendedRow(rid);
+    for (const SidewaysColumns& s : sideways) LogSidewaysInsert(s, row, rid);
+    t->AppendRow(row, rid);
   }
   return Status::OK();
 }
@@ -227,7 +217,7 @@ Status Database::InsertBatch(std::string_view table,
 Status Database::InsertBatch(std::string_view table, std::string_view column,
                              std::span<const std::int64_t> values) {
   AIDX_ASSIGN_OR_RETURN(Table * t, catalog_.GetTable(table));
-  AIDX_RETURN_NOT_OK(t->GetColumn(column).status());
+  AIDX_RETURN_NOT_OK(t->ColumnIndex(column).status());
   if (t->num_columns() != 1) {
     return Status::InvalidArgument(
         "column-addressed batch insert into multi-column table '" + t->name() +
@@ -236,32 +226,10 @@ Status Database::InsertBatch(std::string_view table, std::string_view column,
   return InsertBatch(table, values);
 }
 
-Result<bool> Database::Delete(std::string_view table, std::string_view column,
-                              std::int64_t value) {
-  std::vector<TypedColumn<std::int64_t>*> cols;
-  AIDX_ASSIGN_OR_RETURN(Table * t, PrepareRowDml(table, &cols));
-  const std::vector<std::string>& names = t->column_names();
-  std::size_t key_index = names.size();
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    if (names[i] == column) {
-      key_index = i;
-      break;
-    }
-  }
-  if (key_index == names.size()) {
-    return t->GetColumn(column).status();  // NotFound with the usual message
-  }
-  const auto key_values = cols[key_index]->Values();
-  const auto victim = std::find(key_values.begin(), key_values.end(), value);
-  if (victim == key_values.end()) return false;  // no row matches: no-op
-  const std::size_t pos =
-      static_cast<std::size_t>(victim - key_values.begin());
-  // Validate phase done — nothing below can fail (row-atomicity). Capture
-  // the row before any structure mutates.
-  std::vector<std::int64_t> row(cols.size());
-  for (std::size_t i = 0; i < cols.size(); ++i) row[i] = cols[i]->Values()[pos];
-  const row_id_t rid = t->row_ids()[pos];
-  for (std::size_t i = 0; i < cols.size(); ++i) {
+void Database::DeleteFromPaths(std::string_view table, const Table& t,
+                               std::span<const std::int64_t> row) {
+  const std::vector<std::string>& names = t.column_names();
+  for (std::size_t i = 0; i < row.size(); ++i) {
     ForEachPathOf(table, names[i], [&](AccessPath<std::int64_t>& path) {
       const bool removed = path.Delete(row[i]);
       // Paths mirror the base multiset, so the tuple must exist there too.
@@ -269,76 +237,59 @@ Result<bool> Database::Delete(std::string_view table, std::string_view column,
       (void)removed;
     });
   }
-  ForEachSidewaysOf(table, [&](std::string_view head,
-                               SidewaysCracker<std::int64_t>& cracker) {
-    std::size_t head_index = names.size();
-    for (std::size_t i = 0; i < names.size(); ++i) {
-      if (names[i] == head) {
-        head_index = i;
-        break;
-      }
-    }
-    AIDX_CHECK(head_index < names.size());
-    cracker.ApplyDelete(rid, row[head_index]);
-  });
-  AIDX_CHECK_OK(t->EraseRow(pos));
+}
+
+Result<bool> Database::Delete(std::string_view table, std::string_view column,
+                              std::int64_t value) {
+  AIDX_ASSIGN_OR_RETURN(Table * t, PrepareRowDml(table));
+  AIDX_ASSIGN_OR_RETURN(const std::size_t key_index, t->ColumnIndex(column));
+  const std::optional<std::size_t> slot =
+      t->FindFirstLive<std::int64_t>(key_index, value);
+  if (!slot.has_value()) return false;  // no row matches: no-op
+  // Validate phase done — nothing below can fail (row-atomicity). Capture
+  // the row before any structure mutates.
+  std::vector<std::int64_t> row(t->num_columns());
+  const row_id_t rid = t->ReadRow<std::int64_t>(*slot, row);
+  DeleteFromPaths(table, *t, row);
+  for (const SidewaysColumns& sideways : SidewaysColumnsOf(table, *t)) {
+    sideways.cracker->ApplyDelete(rid, row[sideways.head]);
+  }
+  // O(1): the row is tombstoned; the table compacts dead rows in bulk.
+  t->TombstoneRow(*slot);
   return true;
 }
 
 Result<std::size_t> Database::DeleteWhere(
     std::string_view table, std::string_view column,
     const RangePredicate<std::int64_t>& pred) {
-  std::vector<TypedColumn<std::int64_t>*> cols;
-  AIDX_ASSIGN_OR_RETURN(Table * t, PrepareRowDml(table, &cols));
-  const std::vector<std::string>& names = t->column_names();
-  std::size_t key_index = names.size();
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    if (names[i] == column) {
-      key_index = i;
-      break;
-    }
-  }
-  if (key_index == names.size()) {
-    return t->GetColumn(column).status();  // NotFound with the usual message
-  }
-  const auto key_values = cols[key_index]->Values();
+  AIDX_ASSIGN_OR_RETURN(Table * t, PrepareRowDml(table));
+  // A dense view: compacts pending tombstones once, so the positions below
+  // are slots too.
+  AIDX_ASSIGN_OR_RETURN(const TypedColumn<std::int64_t>* key_col,
+                        t->GetTypedColumn<std::int64_t>(column));
+  const auto key_values = key_col->Values();
   std::vector<std::size_t> victims;
   for (std::size_t pos = 0; pos < key_values.size(); ++pos) {
     if (pred.Matches(key_values[pos])) victims.push_back(pos);
   }
   if (victims.empty()) return std::size_t{0};
   // Validate phase done — nothing below can fail (row-atomicity). Capture
-  // the doomed rows before any structure mutates.
-  std::vector<std::vector<std::int64_t>> rows(victims.size());
+  // the doomed rows, row-major, before any structure mutates.
+  const std::size_t width = t->num_columns();
+  std::vector<std::int64_t> rows(victims.size() * width);
   std::vector<row_id_t> rids(victims.size());
-  const auto row_id_span = t->row_ids();
   for (std::size_t v = 0; v < victims.size(); ++v) {
-    rows[v].resize(cols.size());
-    for (std::size_t i = 0; i < cols.size(); ++i) {
-      rows[v][i] = cols[i]->Values()[victims[v]];
-    }
-    rids[v] = row_id_span[victims[v]];
+    rids[v] = t->ReadRow<std::int64_t>(
+        victims[v], std::span<std::int64_t>(rows).subspan(v * width, width));
   }
-  for (std::size_t v = 0; v < rows.size(); ++v) {
-    for (std::size_t i = 0; i < cols.size(); ++i) {
-      ForEachPathOf(table, names[i], [&](AccessPath<std::int64_t>& path) {
-        const bool removed = path.Delete(rows[v][i]);
-        AIDX_DCHECK(removed);
-        (void)removed;
-      });
+  const std::vector<SidewaysColumns> sideways = SidewaysColumnsOf(table, *t);
+  for (std::size_t v = 0; v < victims.size(); ++v) {
+    const std::span<const std::int64_t> row =
+        std::span<const std::int64_t>(rows).subspan(v * width, width);
+    DeleteFromPaths(table, *t, row);
+    for (const SidewaysColumns& s : sideways) {
+      s.cracker->ApplyDelete(rids[v], row[s.head]);
     }
-    ForEachSidewaysOf(table, [&](std::string_view head,
-                                 SidewaysCracker<std::int64_t>& cracker) {
-      std::size_t head_index = names.size();
-      for (std::size_t i = 0; i < names.size(); ++i) {
-        if (names[i] == head) {
-          head_index = i;
-          break;
-        }
-      }
-      AIDX_CHECK(head_index < names.size());
-      cracker.ApplyDelete(rids[v], rows[v][head_index]);
-    });
   }
   AIDX_CHECK_OK(t->EraseRows(victims));
   return victims.size();

@@ -24,7 +24,13 @@
 // first byte moves, so a failed DML call leaves the table, its paths, and
 // its sideways maps observably unchanged (no torn rows). The apply phase
 // orders paths -> sideways log -> base, so paths that still borrow the
-// base span snapshot it before it changes.
+// base span snapshot it before it changes. Row DML reaches the base
+// through the Table's row primitives (AppendRow, FindFirstLive, ReadRow,
+// TombstoneRow), which address columns by index, not name. Delete
+// tombstones its victim in O(1); only TombstoneRow may compact, once dead
+// rows reach the table's fixed fraction (storage/table.h), so a delete
+// moves no column data. DeleteWhere compacts once up front and erases its
+// victims in one pass.
 //
 // Sideways cracker maps are NOT dropped on DML: crackers run in
 // table-backed mode (sideways/sideways.h) and each row mutation is
@@ -213,8 +219,8 @@ class Database {
 
   /// Deletes the first base row (lowest position) whose `column` value
   /// equals `value`, row-atomically across all columns, cached paths, and
-  /// sideways maps. Returns ok(false) when no row matches — the table is
-  /// untouched in that case.
+  /// sideways maps; the base row is tombstoned, not shifted out. Returns
+  /// ok(false) when no row matches — the table is untouched in that case.
   Result<bool> Delete(std::string_view table, std::string_view column,
                       std::int64_t value);
 
@@ -354,10 +360,9 @@ class Database {
   Result<SidewaysCracker<std::int64_t>*> SidewaysFor(std::string_view table,
                                                      std::string_view head);
   /// The validate phase shared by every DML entry point: resolves the
-  /// table and *all* its columns (type-checked), fires the fault hook.
-  /// After it returns OK, the apply phase cannot fail.
-  Result<Table*> PrepareRowDml(std::string_view table,
-                               std::vector<TypedColumn<std::int64_t>*>* cols);
+  /// table, type-checks *all* its columns, fires the fault hook. After it
+  /// returns OK, the apply phase cannot fail.
+  Result<Table*> PrepareRowDml(std::string_view table);
   /// Applies `write` to every cached access path of (table, column).
   template <typename Fn>
   void ForEachPathOf(std::string_view table, std::string_view column, Fn&& write) {
@@ -378,12 +383,22 @@ class Database {
       }
     }
   }
-  /// Logs one appended row into `cracker` (head value + tails in the
-  /// cracker's registration order).
-  static void LogSidewaysInsert(SidewaysCracker<std::int64_t>& cracker,
-                                std::string_view head,
-                                const std::vector<std::string>& names,
+  /// A cached sideways cracker of a table with its head and registered
+  /// tails resolved to column_names() indices — resolved once per DML call.
+  struct SidewaysColumns {
+    SidewaysCracker<std::int64_t>* cracker = nullptr;
+    std::size_t head = 0;
+    std::vector<std::size_t> tails;  // registered_tails() order
+  };
+  std::vector<SidewaysColumns> SidewaysColumnsOf(std::string_view table,
+                                                 const Table& t);
+  /// Logs one appended row (head value + tails in the cracker's
+  /// registration order).
+  static void LogSidewaysInsert(const SidewaysColumns& sideways,
                                 std::span<const std::int64_t> row, row_id_t rid);
+  /// Removes one row's values from every cached access path of the table.
+  void DeleteFromPaths(std::string_view table, const Table& t,
+                       std::span<const std::int64_t> row);
   /// Drops the table's cached sideways crackers (schema changes only).
   void DropSideways(std::string_view table);
   /// Pressure reaction: drops every cached sideways cracker except `keep`

@@ -18,6 +18,27 @@ namespace aidx {
 template <ColumnValue T>
 class TypedColumn;
 
+/// Removes the elements at `sorted_positions` (strictly ascending, in
+/// range) from `values` in one order-preserving compaction pass — the loop
+/// behind every bulk row erase (columns, row ids, tombstone compaction).
+template <typename V>
+void EraseSortedPositions(std::vector<V>& values,
+                          std::span<const std::size_t> sorted_positions) {
+  if (sorted_positions.empty()) return;
+  AIDX_DCHECK(sorted_positions.back() < values.size());
+  std::size_t write = sorted_positions.front();
+  std::size_t next_victim = 0;
+  for (std::size_t read = write; read < values.size(); ++read) {
+    if (next_victim < sorted_positions.size() &&
+        read == sorted_positions[next_victim]) {
+      ++next_victim;
+      continue;
+    }
+    values[write++] = values[read];
+  }
+  values.resize(write);
+}
+
 /// Type-erased handle to a column. Concrete storage lives in TypedColumn<T>.
 class Column {
  public:
@@ -92,19 +113,7 @@ class TypedColumn final : public Column {
     values_.erase(values_.begin() + static_cast<std::ptrdiff_t>(pos));
   }
   void EraseRows(std::span<const std::size_t> sorted_positions) override {
-    if (sorted_positions.empty()) return;
-    std::size_t write = sorted_positions.front();
-    std::size_t next_victim = 0;
-    for (std::size_t read = write; read < values_.size(); ++read) {
-      if (next_victim < sorted_positions.size() &&
-          read == sorted_positions[next_victim]) {
-        AIDX_DCHECK(read < values_.size());
-        ++next_victim;
-        continue;
-      }
-      values_[write++] = values_[read];
-    }
-    values_.resize(write);
+    EraseSortedPositions(values_, sorted_positions);
   }
 
   /// Unchecked element access (hot paths); bounds are the caller's contract.

@@ -55,23 +55,25 @@ struct RangePredicate {
   /// Matches every value.
   static RangePredicate All() { return {}; }
 
+  /// Each bounded side must hold, so a value unordered against its bound
+  /// (a float NaN) fails every bounded side and matches only All().
   bool Matches(T v) const {
     switch (low_kind) {
       case BoundKind::kInclusive:
-        if (v < low) return false;
+        if (!(v >= low)) return false;
         break;
       case BoundKind::kExclusive:
-        if (v <= low) return false;
+        if (!(v > low)) return false;
         break;
       case BoundKind::kUnbounded:
         break;
     }
     switch (high_kind) {
       case BoundKind::kInclusive:
-        if (v > high) return false;
+        if (!(v <= high)) return false;
         break;
       case BoundKind::kExclusive:
-        if (v >= high) return false;
+        if (!(v < high)) return false;
         break;
       case BoundKind::kUnbounded:
         break;

@@ -1,5 +1,7 @@
 #include "storage/table.h"
 
+#include <bit>
+
 #include "util/failpoint.h"
 #include "util/logging.h"
 
@@ -16,7 +18,7 @@ Status Table::AddColumn(std::unique_ptr<Column> column) {
   if (col_name.empty()) {
     return Status::InvalidArgument("column name must be non-empty");
   }
-  if (columns_.contains(col_name)) {
+  if (ColumnIndex(col_name).ok()) {
     return Status::AlreadyExists("column '" + col_name + "' already exists in table '" +
                                  name_ + "'");
   }
@@ -26,8 +28,10 @@ Status Table::AddColumn(std::unique_ptr<Column> column) {
         " rows; table '" + name_ + "' has " + std::to_string(num_rows()));
   }
   const bool first_column = columns_.empty();
+  // The new column holds live rows only: drop the dead ones it lacks.
+  Compact();
   order_.push_back(col_name);
-  columns_.emplace(col_name, std::move(column));
+  columns_.push_back(std::move(column));
   // The first column defines the row count; identity assigned before it
   // existed (an empty table) is stale, so let it re-initialize on demand.
   if (first_column) {
@@ -37,9 +41,17 @@ Status Table::AddColumn(std::unique_ptr<Column> column) {
   return Status::OK();
 }
 
+Result<std::size_t> Table::ColumnIndex(std::string_view column_name) const {
+  for (std::size_t i = 0; i < order_.size(); ++i) {
+    if (order_[i] == column_name) return i;
+  }
+  return Status::NotFound("no column '" + std::string(column_name) + "' in table '" +
+                          name_ + "'");
+}
+
 void Table::EnsureRowIds() {
   if (row_ids_initialized_) return;
-  const std::size_t n = num_rows();
+  const std::size_t n = num_slots();
   row_ids_.resize(n);
   for (std::size_t i = 0; i < n; ++i) row_ids_[i] = static_cast<row_id_t>(i);
   if (next_row_id_ < n) next_row_id_ = static_cast<row_id_t>(n);
@@ -47,6 +59,7 @@ void Table::EnsureRowIds() {
 }
 
 std::span<const row_id_t> Table::row_ids() {
+  Compact();
   EnsureRowIds();
   return row_ids_;
 }
@@ -62,7 +75,7 @@ void Table::CommitAppendedRow(row_id_t rid) {
   // widens races for the concurrency harnesses.
   (void)failpoints::storage_commit_row.Inject();
   AIDX_DCHECK(row_ids_initialized_);
-  AIDX_DCHECK(row_ids_.size() + 1 == num_rows())
+  AIDX_DCHECK(row_ids_.size() + 1 == num_slots())
       << "CommitAppendedRow before every column appended the row";
   row_ids_.push_back(rid);
 }
@@ -72,8 +85,9 @@ Status Table::EraseRow(std::size_t pos) {
     return Status::OutOfRange("row " + std::to_string(pos) + " out of range; table '" +
                               name_ + "' has " + std::to_string(num_rows()) + " rows");
   }
+  Compact();
   EnsureRowIds();
-  for (auto& [_, col] : columns_) col->EraseRow(pos);
+  for (auto& col : columns_) col->EraseRow(pos);
   row_ids_.erase(row_ids_.begin() + static_cast<std::ptrdiff_t>(pos));
   return Status::OK();
 }
@@ -91,34 +105,53 @@ Status Table::EraseRows(std::span<const std::size_t> sorted_positions) {
           "EraseRows positions must be strictly ascending");
     }
   }
-  EnsureRowIds();
-  for (auto& [_, col] : columns_) col->EraseRows(sorted_positions);
-  std::size_t write = sorted_positions.front();
-  std::size_t next_victim = 0;
-  for (std::size_t read = write; read < row_ids_.size(); ++read) {
-    if (next_victim < sorted_positions.size() &&
-        read == sorted_positions[next_victim]) {
-      ++next_victim;
-      continue;
-    }
-    row_ids_[write++] = row_ids_[read];
-  }
-  row_ids_.resize(write);
+  Compact();
+  EraseSlots(sorted_positions);
   return Status::OK();
 }
 
-Result<Column*> Table::GetColumn(std::string_view column_name) const {
-  const auto it = columns_.find(std::string(column_name));
-  if (it == columns_.end()) {
-    return Status::NotFound("no column '" + std::string(column_name) + "' in table '" +
-                            name_ + "'");
+void Table::TombstoneRow(std::size_t slot) {
+  AIDX_DCHECK(slot < num_slots() && !IsDead(slot));
+  // Row identity must cover every slot before any slot dies, so the
+  // compaction pass keeps ids and values aligned.
+  EnsureRowIds();
+  const std::size_t word = slot / 64;
+  if (word >= dead_.size()) dead_.resize(word + 1, 0);
+  dead_[word] |= std::uint64_t{1} << (slot % 64);
+  ++num_dead_;
+  if (num_dead_ * kCompactDivisor >= num_slots()) Compact();
+}
+
+void Table::Compact() {
+  if (num_dead_ == 0) return;
+  std::vector<std::size_t> slots;
+  slots.reserve(num_dead_);
+  for (std::size_t word = 0; word < dead_.size(); ++word) {
+    for (std::uint64_t bits = dead_[word]; bits != 0; bits &= bits - 1) {
+      slots.push_back(word * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
+    }
   }
-  return it->second.get();
+  AIDX_DCHECK(slots.size() == num_dead_);
+  EraseSlots(slots);
+  dead_.clear();
+  num_dead_ = 0;
+}
+
+void Table::EraseSlots(std::span<const std::size_t> sorted_slots) {
+  EnsureRowIds();
+  for (auto& col : columns_) col->EraseRows(sorted_slots);
+  EraseSortedPositions(row_ids_, sorted_slots);
+}
+
+Result<Column*> Table::GetColumn(std::string_view column_name) {
+  AIDX_ASSIGN_OR_RETURN(const std::size_t i, ColumnIndex(column_name));
+  Compact();
+  return columns_[i].get();
 }
 
 std::size_t Table::MemoryUsageBytes() const {
   std::size_t total = 0;
-  for (const auto& [_, col] : columns_) total += col->MemoryUsageBytes();
+  for (const auto& col : columns_) total += col->MemoryUsageBytes();
   return total;
 }
 

@@ -50,18 +50,26 @@ TEST_P(AccessPathStrategyTest, AgreesWithScanOracle) {
   }
 }
 
+// gtest names each instance after the raw bytes of its StrategyConfig,
+// padding included. Static storage is zero-filled before these
+// initializers run, so the padding (and with it every test name) is the
+// same on every run; temporaries passed to ::testing::Values would leave
+// stack garbage there.
+const StrategyConfig kAccessPathStrategies[] = {
+    StrategyConfig::FullScan(),
+    StrategyConfig::FullSort(),
+    StrategyConfig::BTree(),
+    StrategyConfig::Crack(),
+    StrategyConfig::StochasticCrack(512),
+    StrategyConfig::AdaptiveMerge(700),
+    StrategyConfig::Hybrid(OrganizeMode::kCrack, OrganizeMode::kSort, 700),
+    StrategyConfig::Hybrid(OrganizeMode::kSort, OrganizeMode::kSort, 700),
+    StrategyConfig::Hybrid(OrganizeMode::kCrack, OrganizeMode::kRadix, 700),
+};
+
 INSTANTIATE_TEST_SUITE_P(
     Strategies, AccessPathStrategyTest,
-    ::testing::Values(StrategyConfig::FullScan(), StrategyConfig::FullSort(),
-                      StrategyConfig::BTree(), StrategyConfig::Crack(),
-                      StrategyConfig::StochasticCrack(512),
-                      StrategyConfig::AdaptiveMerge(700),
-                      StrategyConfig::Hybrid(OrganizeMode::kCrack, OrganizeMode::kSort,
-                                             700),
-                      StrategyConfig::Hybrid(OrganizeMode::kSort, OrganizeMode::kSort,
-                                             700),
-                      StrategyConfig::Hybrid(OrganizeMode::kCrack, OrganizeMode::kRadix,
-                                             700)),
+    ::testing::ValuesIn(kAccessPathStrategies),
     [](const auto& info) {
       std::string name = info.param.DisplayName();
       for (char& c : name) {

@@ -130,7 +130,36 @@ TEST(MergeModeMachineTest, ThresholdCrossingTriggersAndDrains) {
   const auto base = RandomValues(4000, 1000, 19);
   ThreadPool pool(2);
   Column col(base, MachineOptions(/*threshold=*/8), &pool);
+  // Park both pool workers until every insert is buffered. A merge that
+  // started mid-loop could finish before the last inserts land and leave
+  // fewer than `threshold` of them buffered, which by design triggers
+  // nothing; parking makes the granted merge see all 64 writes.
+  std::mutex mu;
+  std::condition_variable cv;
+  bool release = false;
+  std::atomic<int> parked{0};
+  for (std::size_t w = 0; w < pool.num_threads(); ++w) {
+    pool.Submit([&] {
+      std::unique_lock<std::mutex> lock(mu);
+      parked.fetch_add(1);
+      cv.wait(lock, [&] { return release; });
+    });
+  }
+  while (parked.load() != static_cast<int>(pool.num_threads())) {
+    std::this_thread::yield();
+  }
   for (std::int64_t v = 0; v < 64; ++v) col.Insert(v % 1000);
+  // The threshold crossing granted a merge: some shard left Normal.
+  std::size_t off_normal = 0;
+  for (std::size_t p = 0; p < col.num_partitions(); ++p) {
+    if (col.shard_mode(p) != ShardMergeMode::kNormal) ++off_normal;
+  }
+  EXPECT_GE(off_normal, 1u);
+  {
+    const std::lock_guard<std::mutex> lock(mu);
+    release = true;
+  }
+  cv.notify_all();
   col.WaitForBackgroundMerges();
   // Everything buffered crossed a threshold eventually; after quiescence
   // the machine is back at Normal with nothing pending anywhere.
@@ -276,7 +305,13 @@ TEST(MergeModeMachineTest, MoveTransfersAQuiescentMachine) {
   Column col(base, MachineOptions(/*threshold=*/4, /*chunk=*/8), &pool);
   for (std::int64_t v = 0; v < 100; ++v) col.Insert(v % 1000);
   Column moved = std::move(col);  // waits out in-flight merges first
+  for (std::size_t p = 0; p < moved.num_partitions(); ++p) {
+    EXPECT_EQ(moved.shard_mode(p), ShardMergeMode::kNormal);
+  }
+  // A read overlapping leftover buffered writes may request a fresh merge,
+  // so the machine is checked again only once that merge has drained.
   EXPECT_EQ(moved.Count(Pred::All()), base.size() + 100);
+  moved.WaitForBackgroundMerges();
   for (std::size_t p = 0; p < moved.num_partitions(); ++p) {
     EXPECT_EQ(moved.shard_mode(p), ShardMergeMode::kNormal);
   }

@@ -440,6 +440,86 @@ TEST_F(ShardedDbTest, RebalanceMovesARangeAndKeepsAnswersExact) {
   EXPECT_EQ(SortedRows(*p1), SortedRows(*p2));
 }
 
+// Rebalance right after a burst of first-match deletes: the source shard
+// still holds tombstoned rows when the migration extracts, erases, and
+// carries its range, and none of them may move or resurface.
+TEST_F(ShardedDbTest, RebalanceRightAfterTombstonedDeletes) {
+  ShardedDatabaseOptions options;
+  options.num_shards = 2;
+  ShardedDatabase db(options);
+  ASSERT_TRUE(SetUpTable(&db, RoutingKind::kRange).ok());
+  std::vector<std::int64_t> keys = RandomKeys(3000, 23);  // the oracle
+  ASSERT_TRUE(db.InsertBatch("t", RowMajor(keys)).ok());
+  // Warm cracked paths and sideways maps on both shards.
+  ASSERT_TRUE(db.Count(Req("t", "k", Pred::Between(100, 700))).ok());
+  QueryRequest warm = Req("t", "k", Pred::Between(50, 650));
+  warm.tails = {"a", "b"};
+  ASSERT_TRUE(db.SelectProject(warm).ok());
+
+  // The burst: deletes on shard 0's half, below its compaction threshold.
+  Rng rng(29);
+  for (int i = 0; i < 100; ++i) {
+    const auto k = static_cast<std::int64_t>(rng.NextBounded(kDomain / 2));
+    auto deleted = db.Delete("t", "k", k);
+    ASSERT_TRUE(deleted.ok());
+    const auto it = std::find(keys.begin(), keys.end(), k);
+    ASSERT_EQ(*deleted, it != keys.end()) << k;
+    if (it != keys.end()) keys.erase(it);
+  }
+  const Table* src = db.shard(0).catalog().GetTable("t").value();
+  ASSERT_GT(src->num_dead_rows(), 0u);
+  const auto keys_in = [&](std::int64_t lo, std::int64_t hi) {
+    return static_cast<std::size_t>(std::count_if(
+        keys.begin(), keys.end(), [&](std::int64_t k) { return k >= lo && k < hi; }));
+  };
+
+  auto report = db.Rebalance("t", 0, 1, 0, kDomain / 4);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->rows_moved, keys_in(0, kDomain / 4));
+  EXPECT_EQ(src->num_dead_rows(), 0u);
+  const auto stats = db.Stats();
+  EXPECT_EQ(stats[0].rows, keys_in(kDomain / 4, kDomain / 2));
+  EXPECT_EQ(stats[0].rows + stats[1].rows, keys.size());
+
+  for (const auto& pred : {Pred::All(), Pred::Between(0, kDomain / 4),
+                           Pred::Between(200, 300), Pred::Between(240, 760)}) {
+    auto count = db.Count(Req("t", "k", pred));
+    auto sum = db.Sum(Req("t", "k", pred));
+    ASSERT_TRUE(count.ok() && sum.ok());
+    std::size_t want_count = 0;
+    double want_sum = 0;
+    for (const auto k : keys) {
+      if (!pred.Matches(k)) continue;
+      ++want_count;
+      want_sum += static_cast<double>(k);
+    }
+    EXPECT_EQ(*count, want_count) << pred.ToString();
+    EXPECT_DOUBLE_EQ(*sum, want_sum) << pred.ToString();
+  }
+  QueryRequest proj = Req("t", "k", Pred::Between(0, kDomain / 2));
+  proj.tails = {"a", "b"};
+  auto projected = db.SelectProject(proj);
+  ASSERT_TRUE(projected.ok());
+  std::vector<RowTuple> want;
+  for (const auto k : keys) {
+    if (k <= kDomain / 2) want.push_back({PayloadA(k), PayloadB(k)});
+  }
+  std::sort(want.begin(), want.end());
+  EXPECT_EQ(SortedRows(*projected), want);
+
+  // A moved row is found, and deleted, on its new shard.
+  const auto moved = std::find_if(keys.begin(), keys.end(),
+                                  [](std::int64_t k) { return k < kDomain / 4; });
+  ASSERT_NE(moved, keys.end());
+  auto deleted = db.Delete("t", "k", *moved);
+  ASSERT_TRUE(deleted.ok());
+  EXPECT_TRUE(*deleted);
+  keys.erase(moved);
+  auto count = db.Count(Req("t", "k", Pred::All()));
+  ASSERT_TRUE(count.ok());
+  EXPECT_EQ(*count, keys.size());
+}
+
 TEST_F(ShardedDbTest, RebalanceCarriesIndexInvestment) {
   ShardedDatabaseOptions options;
   options.num_shards = 2;

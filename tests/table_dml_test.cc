@@ -210,6 +210,122 @@ TEST_P(TableDmlDifferentialTest, MixedWorkloadMatchesRowOracle) {
   }
 }
 
+// Delete-heavy mix over a narrow value domain: the base's tombstones cross
+// the table's compaction threshold several times, first-match deletes must
+// skip dead duplicates, and every epoch materializes fresh structures over
+// a base that still holds dead rows — a new path (same strategy, fresh
+// seed, so a new cache entry) and a new sideways map, which joins its
+// cohort by cloning a sibling and regathering its tail by row id.
+TEST_P(TableDmlDifferentialTest, DeleteHeavyMixCrossesCompactionThreshold) {
+  constexpr std::int64_t kNarrow = 48;  // ~33 duplicates per value
+  Rng rng(131);
+  const auto narrow_row = [&] {
+    Row row;
+    for (auto& v : row) v = static_cast<std::int64_t>(rng.NextBounded(kNarrow));
+    return row;
+  };
+  std::vector<Row> oracle(1600);
+  for (auto& row : oracle) row = narrow_row();
+  Database db;
+  BuildTable(&db, oracle);
+  const Table* table = db.catalog().GetTable("t").value();
+  const auto narrow_pred = [&] {
+    const auto lo = rng.NextInRange(-2, kNarrow);
+    return Pred::Between(lo, lo + rng.NextInRange(0, kNarrow / 3));
+  };
+  // (head, tails) projections in the order epochs introduce them; every
+  // second one adds a map to an existing cohort.
+  const std::vector<std::pair<std::size_t, std::vector<std::string>>> projections = {
+      {0, {"b"}}, {0, {"c"}}, {1, {"a"}}, {1, {"c"}}, {2, {"a"}}, {2, {"b"}}};
+  const auto check_projection = [&](std::size_t which, const Pred& p,
+                                    int op) {
+    const auto& [head, tails] = projections[which];
+    auto r = db.SelectProject("t", kColumns[head], p, tails);
+    ASSERT_TRUE(r.ok()) << "op " << op;
+    std::vector<std::int64_t> got = r->columns[0];
+    std::vector<std::int64_t> want;
+    const std::size_t tail = tails[0][0] - 'a';
+    for (const auto& row : oracle) {
+      if (p.Matches(row[head])) want.push_back(row[tail]);
+    }
+    std::sort(got.begin(), got.end());
+    std::sort(want.begin(), want.end());
+    ASSERT_EQ(got, want) << "op " << op << " head " << kColumns[head]
+                         << " tail " << tails[0] << " " << p.ToString();
+  };
+
+  std::vector<StrategyConfig> configs = {GetParam()};
+  std::size_t projections_live = 1;
+  std::size_t threshold_compactions = 0;
+  std::size_t epochs_over_dead_rows = 0;
+  for (int op = 0; op < 2400; ++op) {
+    if (op % 480 == 479) {  // a new epoch: fresh paths, a fresh map
+      epochs_over_dead_rows += table->num_dead_rows() > 0 ? 1 : 0;
+      StrategyConfig fresh = GetParam();
+      fresh.seed += configs.size();
+      configs.push_back(fresh);
+      for (std::size_t col = 0; col < 3; ++col) {
+        const Pred p = narrow_pred();
+        auto count = db.Count("t", kColumns[col], p, fresh);
+        ASSERT_TRUE(count.ok()) << "op " << op;
+        ASSERT_EQ(*count, OracleCount(oracle, col, p)) << "op " << op;
+      }
+      if (projections_live < projections.size()) ++projections_live;
+      check_projection(projections_live - 1, narrow_pred(), op);
+    }
+    const std::uint64_t kind = rng.NextBounded(10);
+    if (kind < 6 && !oracle.empty()) {
+      // Delete by a value that exists, so duplicates are skipped.
+      const std::size_t col = rng.NextBounded(3);
+      const auto v = oracle[rng.NextBounded(oracle.size())][col];
+      const auto it = std::find_if(oracle.begin(), oracle.end(),
+                                   [&](const Row& row) { return row[col] == v; });
+      const std::size_t dead_before = table->num_dead_rows();
+      auto deleted = db.Delete("t", kColumns[col], v);
+      ASSERT_TRUE(deleted.ok()) << "op " << op;
+      ASSERT_TRUE(*deleted) << "op " << op;
+      oracle.erase(it);
+      if (dead_before > 0 && table->num_dead_rows() == 0) ++threshold_compactions;
+    } else if (kind == 6) {
+      const Row row = narrow_row();
+      ASSERT_TRUE(db.Insert("t", {row[0], row[1], row[2]}).ok()) << "op " << op;
+      oracle.push_back(row);
+    } else if (kind < 9) {
+      const std::size_t col = rng.NextBounded(3);
+      const StrategyConfig& config = configs[rng.NextBounded(configs.size())];
+      const Pred p = narrow_pred();
+      auto count = db.Count("t", kColumns[col], p, config);
+      ASSERT_TRUE(count.ok()) << "op " << op;
+      ASSERT_EQ(*count, OracleCount(oracle, col, p))
+          << config.DisplayName() << " op " << op << " col " << kColumns[col];
+      auto sum = db.Sum("t", kColumns[col], p, config);
+      ASSERT_TRUE(sum.ok()) << "op " << op;
+      ASSERT_DOUBLE_EQ(*sum, OracleSum(oracle, col, p)) << "op " << op;
+    } else {
+      check_projection(rng.NextBounded(projections_live), narrow_pred(), op);
+    }
+  }
+  EXPECT_GE(threshold_compactions, 3u);
+  EXPECT_GE(epochs_over_dead_rows, 3u);
+  EXPECT_EQ(table->num_rows(), oracle.size());
+  for (std::size_t which = 0; which < projections.size(); ++which) {
+    check_projection(which, Pred::All(), -1);
+  }
+  for (const StrategyConfig& config : configs) {
+    for (std::size_t col = 0; col < 3; ++col) {
+      auto count = db.Count("t", kColumns[col], Pred::All(), config);
+      ASSERT_TRUE(count.ok());
+      EXPECT_EQ(*count, oracle.size()) << config.DisplayName() << " " << kColumns[col];
+    }
+  }
+  // Late maps joined their cohorts by cloning, not by replay.
+  for (const char* head : kColumns) {
+    auto state = db.SidewaysState("t", head);
+    ASSERT_TRUE(state.ok()) << head;
+    EXPECT_EQ((*state)->stats().maps_cloned, 1u) << head;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Row-atomicity pins.
 // ---------------------------------------------------------------------------
