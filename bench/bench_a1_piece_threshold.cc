@@ -30,7 +30,7 @@ int main() {
 
   std::cout << "N=" << n << ", Q=" << q << " random, selectivity 0.1%\n\n";
   TablePrinter table({"min piece", "first query", "steady state", "total", "pieces",
-                      "index height"});
+                      "index pages"});
   std::uint64_t checksum = 0;
   for (const std::size_t threshold : {std::size_t{0}, std::size_t{64},
                                       std::size_t{1024}, std::size_t{65536}}) {
@@ -61,7 +61,7 @@ int main() {
     table.AddRow({threshold == 0 ? "always crack" : std::to_string(threshold),
                   FormatSeconds(seconds.front()), FormatSeconds(tail / w),
                   FormatSeconds(total), std::to_string(col->index().num_pieces()),
-                  std::to_string(col->index().tree_height())});
+                  std::to_string(col->index().num_pages())});
   }
   table.Print(std::cout);
   return 0;

@@ -1,6 +1,7 @@
 // E10 — Micro-benchmarks backing the cost narrative (google-benchmark):
 // the primitive operations whose relative costs explain every figure —
-// scan, sort, binary search, crack-in-two/three, B+ tree ops, AVL ops.
+// scan, sort, binary search, crack-in-two/three, B+ tree ops, cracker
+// index ops and the ripple-insert walk.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -8,11 +9,12 @@
 
 #include "core/crack_ops.h"
 #include "core/cracker_column.h"
-#include "index/avl_tree.h"
+#include "core/cracker_index.h"
 #include "index/btree.h"
 #include "index/scan.h"
 #include "index/sorted_index.h"
 #include "util/failpoint.h"
+#include "update/updatable_column.h"
 #include "util/rng.h"
 #include "workload/data_generator.h"
 
@@ -228,18 +230,44 @@ void BM_BTreeRangeCount(benchmark::State& state) {
 }
 BENCHMARK(BM_BTreeRangeCount);
 
-void BM_AvlInsertLookup(benchmark::State& state) {
+// Builds a cracker index from range(0) random cuts (a Lookup, then an
+// AddCut when the cut is new), then probes it once.
+void BM_CrackerIndexAddLookup(benchmark::State& state) {
   Rng rng(11);
   for (auto _ : state) {
-    AvlTree<std::int64_t, std::size_t> tree;
+    CrackerIndex<std::int64_t> index(1 << 20);
     for (int i = 0; i < state.range(0); ++i) {
-      tree.Insert(static_cast<std::int64_t>(rng.NextBounded(1 << 20)), i);
+      const auto v = static_cast<std::int64_t>(rng.NextBounded(1 << 20));
+      const Cut<std::int64_t> cut{v, CutKind::kLess};
+      if (!index.Lookup(cut).exact) index.AddCut(cut, static_cast<std::size_t>(v));
     }
-    benchmark::DoNotOptimize(tree.FindFloor(1 << 19));
+    benchmark::DoNotOptimize(index.Lookup({1 << 19, CutKind::kLess}));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_AvlInsertLookup)->Arg(1 << 10)->Arg(1 << 14);
+BENCHMARK(BM_CrackerIndexAddLookup)->Arg(1 << 10)->Arg(1 << 14);
+
+// One ripple-insert merge per item into a column of 2^20 values cracked by
+// range(0) random point queries: the walk over every downstream cut.
+void BM_RippleInsert(benchmark::State& state) {
+  const auto data = Data(1 << 20);
+  UpdatableCrackerColumn<std::int64_t> column(
+      data, {.policy = MergePolicy::kComplete, .crack = {.with_row_ids = false}});
+  Rng rng(13);
+  for (int i = 0; i < state.range(0); ++i) {
+    const auto v = static_cast<std::int64_t>(rng.NextBounded(1 << 20));
+    benchmark::DoNotOptimize(column.Count(RangePredicate<std::int64_t>::Between(v, v)));
+  }
+  for (auto _ : state) {
+    column.Insert(static_cast<std::int64_t>(rng.NextBounded(1 << 20)));
+    column.MergePendingBudget(1);
+    benchmark::DoNotOptimize(column.values().data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["cuts"] = static_cast<double>(column.index().num_cuts());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RippleInsert)->Arg(1 << 10)->Arg(1 << 14);
 
 }  // namespace
 }  // namespace aidx

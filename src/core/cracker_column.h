@@ -485,6 +485,7 @@ class CrackerColumn {
       const std::size_t span_size = piece->end - piece->begin;
       const T pivot =
           values_[piece->begin + rng_.NextBounded(span_size)];
+      if (IsNan(pivot)) break;  // unordered against every cut
       const Cut<T> random_cut{pivot, CutKind::kLess};
       if (index_.Lookup(random_cut).exact || random_cut == target) break;
       const std::size_t split = piece->begin +

@@ -1,9 +1,17 @@
-// The cracker index: an AVL tree of cuts over one cracked array.
+// The cracker index: a paged sorted array of cuts over one cracked array.
 //
 // Pieces are the maximal runs between adjacent cut positions. The index
 // answers "where is the piece a new cut must crack" (floor/ceiling search),
-// records realized cuts, and supports the position-shifting walks the
-// update algorithms (SIGMOD 2007) need.
+// records realized cuts, and shifts cut positions for the ripple moves the
+// update algorithms (SIGMOD 2007) make.
+//
+// Layout: cuts are kept in ascending order in a vector of pages, each page
+// holding up to kPageCapacity cuts and their positions in two contiguous
+// arrays. A search is a binary search over the pages' last cuts, then one
+// inside a page; a ripple walks the downstream positions as flat arrays.
+// Main-memory adaptive indexing is bound by cache behaviour (Alvarez et al.,
+// "Main Memory Adaptive Indexing for Multi-core Systems"): one heap node per
+// cut, as in the paper's AVL tree, made every ripple a pointer chase.
 //
 // Ownership: a CrackerIndex stores only (cut, position) bookkeeping — it
 // never owns or touches the cracked array itself. It is owned by exactly
@@ -11,7 +19,7 @@
 // responsible for keeping positions consistent with the array it manages:
 // the contract is that AddCut(cut, p) is called only after the owner has
 // physically partitioned the enclosing piece at p, and set_column_size /
-// the mutable VisitCuts walks are reserved for the update pipeline that
+// ShiftForInsert / ShiftForDelete are reserved for the update pipeline that
 // shifts positions in lock step with ripple moves.
 //
 // Usage (the cracking inner loop):
@@ -22,11 +30,13 @@
 //   }                                        // look.position / p is the answer
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
+#include <limits>
 #include <optional>
+#include <vector>
 
 #include "core/cut.h"
-#include "index/avl_tree.h"
 #include "storage/types.h"
 #include "util/logging.h"
 #include "util/macros.h"
@@ -57,6 +67,10 @@ struct CutLookup {
 template <ColumnValue T>
 class CrackerIndex {
  public:
+  /// Cuts per page. A full page splits in half on the next insert; a page
+  /// whose last cut is erased is dropped.
+  static constexpr std::size_t kPageCapacity = 128;
+
   explicit CrackerIndex(std::size_t column_size) : column_size_(column_size) {}
 
   AIDX_DEFAULT_MOVE_ONLY(CrackerIndex);
@@ -66,20 +80,21 @@ class CrackerIndex {
   /// cracked array); existing cut positions must already be consistent.
   void set_column_size(std::size_t n) { column_size_ = n; }
 
-  std::size_t num_cuts() const { return tree_.size(); }
-  std::size_t num_pieces() const { return tree_.size() + 1; }
+  std::size_t num_cuts() const { return num_cuts_; }
+  std::size_t num_pieces() const { return num_cuts_ + 1; }
+  std::size_t num_pages() const { return pages_.size(); }
 
   /// Probes for `cut`; either finds it realized or identifies the enclosing
   /// piece that a crack would have to reorganize.
   CutLookup<T> Lookup(const Cut<T>& cut) const {
     CutLookup<T> out;
-    const Node* exact = tree_.Find(cut);
-    if (exact != nullptr) {
+    const Slot s = LowerBound(cut);
+    if (s.page < pages_.size() && pages_[s.page].cuts[s.i] == cut) {
       out.exact = true;
-      out.position = exact->value;
+      out.position = pages_[s.page].positions[s.i];
       return out;
     }
-    out.piece = PieceAround(cut);
+    out.piece = PieceBefore(s);
     return out;
   }
 
@@ -87,81 +102,61 @@ class CrackerIndex {
   /// piece identified by Lookup (checked in debug builds).
   void AddCut(const Cut<T>& cut, std::size_t position) {
     AIDX_DCHECK(position <= column_size_);
-    const auto [node, inserted] = tree_.Insert(cut, position);
-    AIDX_CHECK(inserted) << "cut " << cut.ToString() << " already realized";
-    (void)node;
+    AIDX_DCHECK(!IsNan(cut.value)) << "NaN cut " << cut.ToString();
+    Slot s = LowerBound(cut);
+    if (s.page == pages_.size()) {  // above every cut: append to the last page
+      if (pages_.empty()) pages_.push_back(NewPage());
+      s.page = pages_.size() - 1;
+      s.i = pages_.back().cuts.size();
+    } else {
+      AIDX_CHECK(!(pages_[s.page].cuts[s.i] == cut))
+          << "cut " << cut.ToString() << " already realized";
+    }
+    if (pages_[s.page].cuts.size() == kPageCapacity) {
+      constexpr std::size_t kHalf = kPageCapacity / 2;
+      Page upper = NewPage();
+      Page& full = pages_[s.page];
+      upper.cuts.assign(full.cuts.begin() + kHalf, full.cuts.end());
+      upper.positions.assign(full.positions.begin() + kHalf, full.positions.end());
+      full.cuts.resize(kHalf);
+      full.positions.resize(kHalf);
+      pages_.insert(pages_.begin() + static_cast<std::ptrdiff_t>(s.page) + 1,
+                    std::move(upper));
+      if (s.i > kHalf) {
+        ++s.page;
+        s.i -= kHalf;
+      }
+    }
+    Page& page = pages_[s.page];
+    page.cuts.insert(page.cuts.begin() + static_cast<std::ptrdiff_t>(s.i), cut);
+    page.positions.insert(page.positions.begin() + static_cast<std::ptrdiff_t>(s.i),
+                          position);
+    ++num_cuts_;
   }
 
   /// The piece that would contain a not-yet-realized cut. (Also correct for
-  /// realized cuts: returns the zero-or-more-width piece to its left.)
+  /// realized cuts: returns the zero-or-more-width piece to its right.)
   PieceInfo<T> PieceAround(const Cut<T>& cut) const {
-    PieceInfo<T> piece;
-    const Node* floor = tree_.FindFloor(cut);
-    const Node* ceil = tree_.FindAbove(cut);
-    if (floor != nullptr) {
-      piece.begin = floor->value;
-      piece.lower = floor->key;
-    } else {
-      piece.begin = 0;
-    }
-    if (ceil != nullptr) {
-      piece.end = ceil->value;
-      piece.upper = ceil->key;
-    } else {
-      piece.end = column_size_;
-    }
-    if (piece.end < piece.begin) piece.end = piece.begin;  // zero-width tolerance
-    return piece;
+    return PieceBefore(PartitionPoint([&](const Cut<T>& c) { return !(cut < c); }));
   }
 
   /// The piece whose value interval admits value `v` — where an insert of
   /// `v` must land. Boundary rule: v belongs below every cut c with
-  /// c.Below(v) and at-or-above every cut with !c.Below(v).
+  /// c.Below(v) and at-or-above every cut with !c.Below(v). Cuts are
+  /// ordered so that Below(v) is monotone (false...false, true...true); the
+  /// piece ends at the first cut with Below(v).
   PieceInfo<T> PieceForValue(T v) const {
-    // Cuts are ordered so that Below(v) is monotone: false...false,true...true.
-    // The insert piece sits between the last false cut and the first true cut.
-    // (v, kLessEq) is the greatest cut candidate with !Below(v) semantics
-    // boundary: cut (v', k') has Below(v) false iff (v',k') <= (v, kLess) is
-    // not quite right for duplicates, so search directly:
-    PieceInfo<T> piece;
-    const Node* last_false = nullptr;
-    const Node* first_true = nullptr;
-    const Node* n = tree_.Root();
-    while (n != nullptr) {
-      if (n->key.Below(v)) {
-        first_true = n;
-        n = LeftOf(n);
-      } else {
-        last_false = n;
-        n = RightOf(n);
-      }
-    }
-    if (last_false != nullptr) {
-      piece.begin = last_false->value;
-      piece.lower = last_false->key;
-    }
-    piece.end = first_true != nullptr ? first_true->value : column_size_;
-    if (first_true != nullptr) piece.upper = first_true->key;
-    if (piece.end < piece.begin) piece.end = piece.begin;
-    return piece;
+    return PieceBefore(PartitionPoint([&](const Cut<T>& c) { return !c.Below(v); }));
   }
 
-  /// Visits cuts in ascending order; `fn(const Cut<T>&, std::size_t& pos)`
-  /// may mutate positions (update algorithms shift suffix cuts).
-  template <typename Fn>
-  void VisitCuts(Fn&& fn) {
-    tree_.VisitInOrder([&](Node& node) { fn(node.key, node.value); });
-  }
+  /// Visits cuts in ascending order: `fn(const Cut<T>&, std::size_t pos)`.
   template <typename Fn>
   void VisitCuts(Fn&& fn) const {
-    const_cast<AvlTree<Cut<T>, std::size_t>&>(tree_).VisitInOrder(
-        [&](Node& node) { fn(node.key, static_cast<const std::size_t&>(node.value)); });
-  }
-
-  /// Visits cuts with key >= from, ascending; positions mutable.
-  template <typename Fn>
-  void VisitCutsFrom(const Cut<T>& from, Fn&& fn) {
-    tree_.VisitFrom(from, [&](Node& node) { fn(node.key, node.value); });
+    for (const Page& page : pages_) {
+      for (std::size_t i = 0; i < page.cuts.size(); ++i) {
+        fn(page.cuts[i], page.positions[i]);
+      }
+    }
   }
 
   /// Visits every piece left to right.
@@ -169,7 +164,7 @@ class CrackerIndex {
   void VisitPieces(Fn&& fn) const {
     PieceInfo<T> current;
     current.begin = 0;
-    VisitCuts([&](const Cut<T>& cut, const std::size_t& pos) {
+    VisitCuts([&](const Cut<T>& cut, std::size_t pos) {
       current.end = pos;
       current.upper = cut;
       fn(current);
@@ -182,8 +177,40 @@ class CrackerIndex {
     fn(current);
   }
 
+  /// Index side of a ripple insert (SIGMOD'07): the array grows by one slot
+  /// at its end and every cut at or above `from` moves one position right.
+  /// `move(p)` is called once per distinct old position p of those cuts,
+  /// ascending, in the same walk that shifts them. An absent `from` (the
+  /// target piece is the last one) shifts no cut.
+  template <typename MoveFn>
+  void ShiftForInsert(const std::optional<Cut<T>>& from, MoveFn&& move) {
+    ShiftFrom(from, /*up=*/true, move);
+    ++column_size_;
+  }
+
+  /// Index side of a ripple delete: the array shrinks by one slot at its end
+  /// and every cut at or above `from` moves one position left. `move(p)` is
+  /// called as in ShiftForInsert, with the old positions.
+  template <typename MoveFn>
+  void ShiftForDelete(const std::optional<Cut<T>>& from, MoveFn&& move) {
+    AIDX_DCHECK(column_size_ > 0);
+    ShiftFrom(from, /*up=*/false, move);
+    --column_size_;
+  }
+
   /// Drops a realized cut (piece merge; used by update algorithms).
-  bool EraseCut(const Cut<T>& cut) { return tree_.Erase(cut); }
+  bool EraseCut(const Cut<T>& cut) {
+    const Slot s = LowerBound(cut);
+    if (s.page == pages_.size() || !(pages_[s.page].cuts[s.i] == cut)) return false;
+    Page& page = pages_[s.page];
+    page.cuts.erase(page.cuts.begin() + static_cast<std::ptrdiff_t>(s.i));
+    page.positions.erase(page.positions.begin() + static_cast<std::ptrdiff_t>(s.i));
+    if (page.cuts.empty()) {
+      pages_.erase(pages_.begin() + static_cast<std::ptrdiff_t>(s.page));
+    }
+    --num_cuts_;
+    return true;
+  }
 
   /// Deep copy (the type is otherwise move-only). Sideways cracking clones
   /// a fully-aligned sibling's index when a map joins its cohort after
@@ -191,37 +218,126 @@ class CrackerIndex {
   /// Select from re-cracking — and thereby re-permuting — the clone.
   CrackerIndex Clone() const {
     CrackerIndex out(column_size_);
-    VisitCuts([&](const Cut<T>& cut, const std::size_t& pos) {
-      out.AddCut(cut, pos);
-    });
+    out.pages_.reserve(pages_.size());
+    for (const Page& page : pages_) {
+      Page copy = NewPage();
+      copy.cuts = page.cuts;
+      copy.positions = page.positions;
+      out.pages_.push_back(std::move(copy));
+    }
+    out.num_cuts_ = num_cuts_;
     return out;
   }
 
-  void Clear() { tree_.Clear(); }
-
-  /// Invariants: AVL shape, cut-position monotonicity, positions within the
-  /// array. O(n); tests only.
-  bool Validate() const {
-    if (!tree_.Validate()) return false;
-    bool ok = true;
-    std::size_t prev = 0;
-    VisitCuts([&](const Cut<T>&, const std::size_t& pos) {
-      if (pos < prev || pos > column_size_) ok = false;
-      prev = pos;
-    });
-    return ok;
+  void Clear() {
+    pages_.clear();
+    num_cuts_ = 0;
   }
 
-  int tree_height() const { return tree_.height(); }
+  /// Invariants: every page holds 1..kPageCapacity cuts with one position
+  /// each, cuts strictly ascend within and across pages, positions are
+  /// monotone and within the array, and the pages add up to num_cuts().
+  /// O(n); tests only.
+  bool Validate() const {
+    std::size_t count = 0;
+    std::size_t prev_pos = 0;
+    const Cut<T>* prev = nullptr;
+    for (const Page& page : pages_) {
+      if (page.cuts.empty() || page.cuts.size() > kPageCapacity ||
+          page.positions.size() != page.cuts.size()) {
+        return false;
+      }
+      for (std::size_t i = 0; i < page.cuts.size(); ++i) {
+        if (prev != nullptr && !(*prev < page.cuts[i])) return false;
+        if (page.positions[i] < prev_pos || page.positions[i] > column_size_) {
+          return false;
+        }
+        prev = &page.cuts[i];
+        prev_pos = page.positions[i];
+      }
+      count += page.cuts.size();
+    }
+    return count == num_cuts_;
+  }
 
  private:
-  using Tree = AvlTree<Cut<T>, std::size_t>;
-  using Node = typename Tree::Node;
+  struct Page {
+    std::vector<Cut<T>> cuts;
+    std::vector<std::size_t> positions;
+  };
 
-  static const Node* LeftOf(const Node* n) { return n->left; }
-  static const Node* RightOf(const Node* n) { return n->right; }
+  /// A place in cut order: cut `i` of page `page`, or the end when `page`
+  /// is pages_.size() (then `i` is 0).
+  struct Slot {
+    std::size_t page = 0;
+    std::size_t i = 0;
+  };
 
-  Tree tree_;
+  static Page NewPage() {
+    Page page;
+    page.cuts.reserve(kPageCapacity);
+    page.positions.reserve(kPageCapacity);
+    return page;
+  }
+
+  /// The first cut for which `pred` is false, given that `pred` holds for
+  /// a prefix of the cut order.
+  template <typename Pred>
+  Slot PartitionPoint(Pred&& pred) const {
+    const auto page = std::partition_point(
+        pages_.begin(), pages_.end(),
+        [&](const Page& p) { return pred(p.cuts.back()); });
+    if (page == pages_.end()) return {pages_.size(), 0};
+    const auto it = std::partition_point(page->cuts.begin(), page->cuts.end(), pred);
+    return {static_cast<std::size_t>(page - pages_.begin()),
+            static_cast<std::size_t>(it - page->cuts.begin())};
+  }
+
+  /// The first cut not below `cut`.
+  Slot LowerBound(const Cut<T>& cut) const {
+    return PartitionPoint([&](const Cut<T>& c) { return c < cut; });
+  }
+
+  /// The piece between the cut before `s` and the cut at `s`.
+  PieceInfo<T> PieceBefore(Slot s) const {
+    PieceInfo<T> piece;
+    if (s.i > 0 || s.page > 0) {
+      const Page& page = s.i > 0 ? pages_[s.page] : pages_[s.page - 1];
+      const std::size_t i = s.i > 0 ? s.i - 1 : page.cuts.size() - 1;
+      piece.begin = page.positions[i];
+      piece.lower = page.cuts[i];
+    }
+    if (s.page < pages_.size()) {
+      piece.end = pages_[s.page].positions[s.i];
+      piece.upper = pages_[s.page].cuts[s.i];
+    } else {
+      piece.end = column_size_;
+    }
+    if (piece.end < piece.begin) piece.end = piece.begin;  // zero-width tolerance
+    return piece;
+  }
+
+  /// Shifts every cut at or above `from` by one, calling `move` once per
+  /// distinct old position, ascending.
+  template <typename MoveFn>
+  void ShiftFrom(const std::optional<Cut<T>>& from, bool up, MoveFn& move) {
+    if (!from.has_value()) return;
+    const Slot s = LowerBound(*from);
+    std::size_t last = std::numeric_limits<std::size_t>::max();
+    for (std::size_t p = s.page; p < pages_.size(); ++p) {
+      std::vector<std::size_t>& positions = pages_[p].positions;
+      for (std::size_t i = p == s.page ? s.i : 0; i < positions.size(); ++i) {
+        if (positions[i] != last) {
+          last = positions[i];
+          move(last);
+        }
+        positions[i] = up ? positions[i] + 1 : positions[i] - 1;
+      }
+    }
+  }
+
+  std::vector<Page> pages_;
+  std::size_t num_cuts_ = 0;
   std::size_t column_size_;
 };
 

@@ -1642,6 +1642,7 @@ class PartitionedCrackerColumn {
         offset = shard.rng.NextBounded(span_size);
       }
       const T pivot = shard.column.values()[piece->begin + offset];
+      if (IsNan(pivot)) break;  // as CrackerColumn: never a NaN cut
       const Cut<T> random_cut{pivot, CutKind::kLess};
       bool stop = false;
       {
@@ -2008,6 +2009,10 @@ class PartitionedCrackerColumn {
         sample.push_back(base[rng.NextBounded(base.size())]);
       }
     }
+    // NaN has no place in the value order (PartitionOf routes it to the
+    // last partition); left in, it breaks the sort and can become a splitter.
+    std::erase_if(sample, [](T v) { return IsNan(v); });
+    if (sample.empty()) return {};
     std::sort(sample.begin(), sample.end());
     std::vector<T> splitters;
     splitters.reserve(k - 1);

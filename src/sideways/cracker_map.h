@@ -19,6 +19,7 @@
 // (see sideways.h); CrackerMap itself is the single-map mechanism.
 #pragma once
 
+#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -142,44 +143,35 @@ class CrackerMap {
     return {begin, end};
   }
 
-  /// Inserts (head, tail, rid) into the piece its head value belongs to,
-  /// cascading one element per downstream piece boundary into the slot
-  /// freed by its right neighbour (SIGMOD'07 ripple insert, tandem form).
+  /// Inserts (head, tail, rid) into the piece its head value belongs to:
+  /// one walk over the downstream piece boundaries carries the displaced
+  /// tandem entry forward, one swap per boundary, and the last displaced
+  /// entry lands in the slot appended at the end (SIGMOD'07 ripple insert,
+  /// tandem form; same layout as the right-to-left cascade).
   void RippleInsert(T head, TailT tail, row_id_t rid) {
     const std::size_t old_size = head_.size();
     const PieceInfo<T> piece = index_.PieceForValue(head);
-    std::vector<std::size_t> boundaries;
-    if (piece.upper.has_value()) {
-      index_.VisitCutsFrom(*piece.upper, [&](const Cut<T>&, std::size_t& pos) {
-        boundaries.push_back(pos);
-      });
-    }
-    head_.push_back(head);  // placeholder; overwritten unless no cascade
+    head_.push_back(head);
     entries_.push_back({tail, rid});
-    std::size_t hole = old_size;
-    for (auto it = boundaries.rbegin(); it != boundaries.rend(); ++it) {
-      const std::size_t b = *it;
-      if (hole != b) {
-        head_[hole] = head_[b];
-        entries_[hole] = entries_[b];
-        ++stats_.ripple_element_moves;
-      }
-      hole = b;
-    }
-    head_[hole] = head;
-    entries_[hole] = {tail, rid};
-    if (piece.upper.has_value()) {
-      index_.VisitCutsFrom(*piece.upper,
-                           [](const Cut<T>&, std::size_t& pos) { ++pos; });
-    }
-    index_.set_column_size(old_size + 1);
+    T carry_head = head;
+    Entry carry_entry{tail, rid};
+    std::optional<std::size_t> last;  // the slot placed last
+    const auto place = [&](std::size_t slot) {
+      std::swap(head_[slot], carry_head);
+      std::swap(entries_[slot], carry_entry);
+      if (last.has_value()) ++stats_.ripple_element_moves;
+      last = slot;
+    };
+    index_.ShiftForInsert(piece.upper, place);
+    if (last != old_size) place(old_size);
     ++stats_.inserts_applied;
   }
 
   /// Removes the tuple with row id `rid` (whose head value is `head` — the
-  /// piece lookup key) by cascading the last element of each downstream
-  /// piece into the hole, shrinking the map by one. Returns false when no
-  /// tuple in the head value's piece carries the rid.
+  /// piece lookup key), shrinking the map by one: one walk over the
+  /// downstream piece boundaries moves the last entry of each piece into
+  /// the hole on its left. Returns false when no tuple in the head value's
+  /// piece carries the rid.
   bool RippleDelete(T head, row_id_t rid) {
     const std::size_t old_size = head_.size();
     const PieceInfo<T> piece = index_.PieceForValue(head);
@@ -192,12 +184,6 @@ class CrackerMap {
     }
     if (pos == piece.end) return false;
 
-    std::vector<std::size_t> boundaries;
-    if (piece.upper.has_value()) {
-      index_.VisitCutsFrom(*piece.upper, [&](const Cut<T>&, std::size_t& p) {
-        boundaries.push_back(p);
-      });
-    }
     std::size_t hole = pos;
     const auto move_last = [&](std::size_t end) {
       if (hole != end - 1) {
@@ -207,18 +193,11 @@ class CrackerMap {
       }
       hole = end - 1;
     };
-    move_last(boundaries.empty() ? old_size : boundaries.front());
-    for (std::size_t j = 0; j < boundaries.size(); ++j) {
-      move_last(j + 1 < boundaries.size() ? boundaries[j + 1] : old_size);
-    }
+    index_.ShiftForDelete(piece.upper, move_last);
+    move_last(old_size);
     AIDX_DCHECK(hole == old_size - 1);
     head_.pop_back();
     entries_.pop_back();
-    if (piece.upper.has_value()) {
-      index_.VisitCutsFrom(*piece.upper,
-                           [](const Cut<T>&, std::size_t& p) { --p; });
-    }
-    index_.set_column_size(old_size - 1);
     ++stats_.deletes_applied;
     return true;
   }

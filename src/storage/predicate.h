@@ -8,6 +8,7 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <type_traits>
 
 #include "storage/types.h"
 
@@ -19,6 +20,19 @@ enum class BoundKind : char {
   kExclusive,
   kUnbounded,
 };
+
+/// True for a floating-point NaN. A NaN is unordered against every value:
+/// it satisfies no bounded predicate side, and no cut (core/cut.h), and
+/// thus no crack pivot, may carry one.
+template <ColumnValue T>
+bool IsNan(T v) {
+  if constexpr (std::is_floating_point_v<T>) {
+    return v != v;
+  } else {
+    (void)v;
+    return false;
+  }
+}
 
 /// A one-dimensional range predicate over a column of T.
 template <ColumnValue T>
@@ -82,8 +96,13 @@ struct RangePredicate {
   }
 
   /// True when no value can satisfy the predicate (conservative syntactic
-  /// check; used for early-outs, not required for correctness).
+  /// check; used for early-outs). A NaN bound matches nothing, and the
+  /// early-out is what keeps it from becoming a cut in the crack family.
   bool DefinitelyEmpty() const {
+    if ((low_kind != BoundKind::kUnbounded && IsNan(low)) ||
+        (high_kind != BoundKind::kUnbounded && IsNan(high))) {
+      return true;
+    }
     if (low_kind == BoundKind::kUnbounded || high_kind == BoundKind::kUnbounded) {
       return false;
     }

@@ -34,6 +34,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -375,42 +376,31 @@ class UpdatableCrackerColumn : public CrackerColumn<T> {
     }
   }
 
-  /// Inserts (value, rid) into its piece by cascading one element per
-  /// downstream piece boundary into the slot freed by its right neighbour.
+  /// Inserts (value, rid) into its piece. One walk over the downstream
+  /// piece boundaries, left to right, carries the displaced element forward:
+  /// each boundary slot takes the element carried from the boundary before
+  /// it (the new tuple at the first), and the last displaced element lands
+  /// in the slot appended at the end — the layout of the SIGMOD'07
+  /// right-to-left cascade, one element move per downstream piece.
   void RippleInsert(T value, row_id_t rid) {
     auto& values = this->mutable_values();
     auto& rids = this->mutable_row_ids();
     const bool with_rids = this->options().with_row_ids;
-    auto& index = this->mutable_index();
     const std::size_t old_size = values.size();
-    const PieceInfo<T> piece = index.PieceForValue(value);
-
-    // Boundary positions of every piece to the right of the target piece.
-    std::vector<std::size_t> boundaries;
-    if (piece.upper.has_value()) {
-      index.VisitCutsFrom(*piece.upper, [&](const Cut<T>&, std::size_t& pos) {
-        boundaries.push_back(pos);
-      });
-    }
-    values.push_back(value);  // placeholder; overwritten unless no cascade
+    const PieceInfo<T> piece = this->index().PieceForValue(value);
+    values.push_back(value);
     if (with_rids) rids.push_back(rid);
-    std::size_t hole = old_size;
-    for (auto it = boundaries.rbegin(); it != boundaries.rend(); ++it) {
-      const std::size_t b = *it;
-      if (hole != b) {
-        values[hole] = values[b];
-        if (with_rids) rids[hole] = rids[b];
-        ++stats_.ripple_element_moves;
-      }
-      hole = b;
-    }
-    values[hole] = value;
-    if (with_rids) rids[hole] = rid;
-    if (piece.upper.has_value()) {
-      index.VisitCutsFrom(*piece.upper,
-                          [](const Cut<T>&, std::size_t& pos) { ++pos; });
-    }
-    index.set_column_size(old_size + 1);
+    T carry = value;
+    row_id_t carry_rid = rid;
+    std::optional<std::size_t> last;  // the slot placed last
+    const auto place = [&](std::size_t slot) {
+      std::swap(values[slot], carry);
+      if (with_rids) std::swap(rids[slot], carry_rid);
+      if (last.has_value()) ++stats_.ripple_element_moves;
+      last = slot;
+    };
+    this->mutable_index().ShiftForInsert(piece.upper, place);
+    if (last != old_size) place(old_size);
   }
 
   /// True when some pending rid-addressed delete targets row id `rid`
@@ -423,15 +413,15 @@ class UpdatableCrackerColumn : public CrackerColumn<T> {
   }
 
   /// Removes the tuple (value, rid) — or, when rid is kPendingNoRid, an
-  /// arbitrary tuple equal to `value` — by cascading the last element of
-  /// each downstream piece into the hole, shrinking the array by one.
+  /// arbitrary tuple equal to `value` — shrinking the array by one: one walk
+  /// over the downstream piece boundaries moves the last element of each
+  /// piece into the hole on its left, which shifts the piece left by one.
   void RippleDelete(T value, row_id_t rid) {
     auto& values = this->mutable_values();
     auto& rids = this->mutable_row_ids();
     const bool with_rids = this->options().with_row_ids;
-    auto& index = this->mutable_index();
     const std::size_t old_size = values.size();
-    const PieceInfo<T> piece = index.PieceForValue(value);
+    const PieceInfo<T> piece = this->index().PieceForValue(value);
 
     // Locate the victim inside its piece. Value-addressed deletes skip
     // tuples claimed by a still-pending rid-addressed delete so the two
@@ -450,15 +440,6 @@ class UpdatableCrackerColumn : public CrackerColumn<T> {
     }
     if (pos == piece.end) return;  // unknown tuple: drop silently (see tests)
 
-    std::vector<std::size_t> boundaries;
-    if (piece.upper.has_value()) {
-      index.VisitCutsFrom(*piece.upper, [&](const Cut<T>&, std::size_t& pos_ref) {
-        boundaries.push_back(pos_ref);
-      });
-    }
-    // Close the hole with the target piece's last element, then cascade:
-    // each downstream piece donates its last element to the position freed
-    // on its left, shifting the piece left by one.
     std::size_t hole = pos;
     const auto move_last = [&](std::size_t end) {
       if (hole != end - 1) {
@@ -468,18 +449,11 @@ class UpdatableCrackerColumn : public CrackerColumn<T> {
       }
       hole = end - 1;
     };
-    move_last(boundaries.empty() ? old_size : boundaries.front());
-    for (std::size_t j = 0; j < boundaries.size(); ++j) {
-      move_last(j + 1 < boundaries.size() ? boundaries[j + 1] : old_size);
-    }
+    this->mutable_index().ShiftForDelete(piece.upper, move_last);
+    move_last(old_size);
     AIDX_DCHECK(hole == old_size - 1);
     values.pop_back();
     if (with_rids) rids.pop_back();
-    if (piece.upper.has_value()) {
-      index.VisitCutsFrom(*piece.upper,
-                          [](const Cut<T>&, std::size_t& pos_ref) { --pos_ref; });
-    }
-    index.set_column_size(old_size - 1);
   }
 
   Options options_;

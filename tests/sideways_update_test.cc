@@ -16,6 +16,7 @@
 #include <tuple>
 #include <vector>
 
+#include "ripple_oracle.h"
 #include "sideways/cracker_map.h"
 #include "sideways/sideways.h"
 #include "storage/table.h"
@@ -142,6 +143,62 @@ TEST_P(CrackerMapDmlTest, RippleDeleteMatchesOracle) {
   }
   EXPECT_TRUE(map.Validate()) << "seed " << seed;
   EXPECT_GT(map.stats().deletes_applied, 0u);
+}
+
+// The tandem ripple's physical layout: after every RippleInsert and
+// RippleDelete between cracking selects, the map's heads, (tail, rid)
+// entries, cut positions and move count equal the two-walk reference
+// ripple's (tests/ripple_oracle.h) — the layout every cohort sibling must
+// reproduce to stay aligned.
+TEST_P(CrackerMapDmlTest, RippleLayoutMatchesTwoWalkOracle) {
+  const std::uint64_t seed = GetParam();
+  const auto head = RandomValues(3000, seed ^ 0x20);
+  const auto tail = RandomValues(3000, seed ^ 0x21);
+  Map map(head, tail);
+  using Oracle = RippleOracle<std::int64_t, std::pair<std::int64_t, row_id_t>>;
+  Oracle oracle;
+  Rng rng(seed ^ 0x22);
+  row_id_t next_rid = static_cast<row_id_t>(head.size());
+  for (int op = 0; op < 1500; ++op) {
+    const auto dice = rng.NextBounded(10);
+    if (dice < 4) {
+      const auto v = static_cast<std::int64_t>(rng.NextBounded(kDomain));
+      map.Select(dice == 0 ? Pred::Between(v, v) : RandomPredicate(&rng));
+      continue;
+    }
+    oracle.values.assign(map.head().begin(), map.head().end());
+    oracle.payload.clear();
+    for (std::size_t i = 0; i < map.size(); ++i) {
+      oracle.payload.emplace_back(map.tail_at(i), map.rid_at(i));
+    }
+    oracle.cuts = Oracle::CutsOf(map.index());
+    oracle.moves = map.stats().ripple_element_moves;
+    if (dice < 7) {
+      const auto h = static_cast<std::int64_t>(rng.NextBounded(kDomain));
+      const auto t = static_cast<std::int64_t>(rng.NextBounded(kDomain));
+      map.RippleInsert(h, t, next_rid);
+      oracle.Insert(h, {t, next_rid});
+      ++next_rid;
+    } else {
+      const std::size_t at = rng.NextBounded(map.size());
+      const std::int64_t h = map.head()[at];
+      const row_id_t rid = map.rid_at(at);
+      ASSERT_TRUE(map.RippleDelete(h, rid));
+      ASSERT_TRUE(oracle.Delete(h, [&](std::size_t i) { return oracle.payload[i].second == rid; }));
+    }
+    ASSERT_TRUE(std::equal(map.head().begin(), map.head().end(), oracle.values.begin(),
+                           oracle.values.end()))
+        << "seed " << seed << " op " << op;
+    for (std::size_t i = 0; i < map.size(); ++i) {
+      ASSERT_EQ(std::make_pair(map.tail_at(i), map.rid_at(i)), oracle.payload[i])
+          << "seed " << seed << " op " << op << " slot " << i;
+    }
+    ASSERT_EQ(Oracle::CutsOf(map.index()), oracle.cuts) << "seed " << seed << " op " << op;
+    ASSERT_EQ(map.stats().ripple_element_moves, oracle.moves)
+        << "seed " << seed << " op " << op;
+  }
+  EXPECT_TRUE(map.Validate()) << "seed " << seed;
+  EXPECT_GT(map.index().num_cuts(), CrackerIndex<std::int64_t>::kPageCapacity);
 }
 
 // Determinism under DML: two maps with identical initial content applying

@@ -11,11 +11,13 @@
 #include "exec/access_path.h"
 #include "exec/engine.h"
 #include "index/scan.h"
+#include "parallel/partitioned_cracker_column.h"
 #include "storage/catalog.h"
 #include "storage/column.h"
 #include "storage/predicate.h"
 #include "storage/table.h"
 #include "storage/types.h"
+#include "util/rng.h"
 
 namespace aidx {
 namespace {
@@ -390,6 +392,10 @@ TEST(PredicateTest, NanFailsEveryBoundedSide) {
     EXPECT_FALSE(p.Matches(nan)) << p.ToString();
   }
   EXPECT_TRUE(P::All().Matches(nan));
+  for (const P& p : {P::AtLeast(nan), P::LessThan(nan), P::Between(0, nan),
+                     P::HalfOpen(nan, 1)}) {
+    EXPECT_TRUE(p.DefinitelyEmpty()) << p.ToString();  // a NaN bound matches nothing
+  }
   EXPECT_TRUE(P::AtLeast(0).Matches(inf));
   EXPECT_FALSE(P::LessThan(inf).Matches(inf));
   EXPECT_TRUE(P::AtMost(inf).Matches(inf));
@@ -408,6 +414,7 @@ TEST(PredicateTest, ScanAgreesWithCrackingOnNanAndInfinities) {
       P::Between(0, 3),     P::HalfOpen(-inf, 1), P::LessThan(2),
       P::AtMost(inf),       P::GreaterThan(0.5),  P::AtLeast(-inf),
       P::Between(-inf, inf), P::All(),            P::Between(inf, inf),
+      P::AtLeast(nan),      P::Between(0, nan),   P::LessThan(nan),
       P::HalfOpen(-2, 7)};
   CrackerColumn<double> cracker(values);
   for (const P& p : preds) {
@@ -422,6 +429,41 @@ TEST(PredicateTest, ScanAgreesWithCrackingOnNanAndInfinities) {
           << config.DisplayName() << " " << p.ToString();
     }
   }
+}
+
+// A NaN is unordered against every cut, so stochastic pre-cracking must
+// never pick one as a pivot. With most of the column NaN and a threshold of
+// 2 nearly every pre-crack draws one; both pre-crack loops (CrackerColumn's
+// and the partitioned column's striped one) keep a valid index and count
+// like a scan.
+TEST(PredicateTest, StochasticPreCracksNeverPivotOnNan) {
+  using P = RangePredicate<double>;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  Rng rng(41);
+  std::vector<double> values(3000);
+  for (double& v : values) {
+    const std::uint64_t dice = rng.NextBounded(100);
+    v = dice < 60   ? nan
+        : dice < 63 ? (dice % 2 == 0 ? inf : -inf)
+                    : static_cast<double>(rng.NextBounded(2000)) - 1000.0;
+  }
+  CrackerColumn<double> cracker(values, {.stochastic_threshold = 2});
+  PartitionedCrackerColumn<double> partitioned(
+      values, {.num_partitions = 4, .column_options = {.stochastic_threshold = 2}});
+  for (int q = 0; q < 300; ++q) {
+    const double lo = static_cast<double>(rng.NextBounded(2200)) - 1100.0;
+    const double hi = lo + static_cast<double>(rng.NextBounded(400));
+    const P preds[] = {P::Between(lo, hi), P::HalfOpen(lo, hi), P::LessThan(hi),
+                       P::GreaterThan(lo)};
+    const P& p = preds[q % 4];
+    const std::size_t want = ScanCount<double>(values, p);
+    ASSERT_EQ(cracker.Count(p), want) << p.ToString();
+    ASSERT_EQ(partitioned.Count(p), want) << p.ToString();
+  }
+  EXPECT_TRUE(cracker.ValidatePieces());
+  EXPECT_TRUE(partitioned.ValidatePieces());
+  EXPECT_GT(cracker.stats().num_stochastic_cracks, 0u);
 }
 
 }  // namespace

@@ -6,9 +6,11 @@
 
 #include <algorithm>
 #include <map>
+#include <ostream>
 #include <vector>
 
 #include "index/scan.h"
+#include "ripple_oracle.h"
 #include "util/rng.h"
 
 namespace aidx {
@@ -130,6 +132,11 @@ struct PolicyParam {
   const char* name;
 };
 
+// Names the param in test listings. Without a printer gtest prints the
+// struct's raw bytes, padding and the `name` pointer included, so the test
+// names changed from run to run.
+void PrintTo(const PolicyParam& param, std::ostream* os) { *os << param.name; }
+
 class UpdatePolicyTest : public ::testing::TestWithParam<PolicyParam> {};
 
 // The central property: under any interleaving of queries, inserts, and
@@ -239,6 +246,81 @@ TEST(UpdatableColumnTest, InsertIntoEveryPieceOfAHeavilyCrackedColumn) {
   }
   EXPECT_EQ(col.Count(Pred::All()), expect_total);
   EXPECT_TRUE(col.Validate());
+}
+
+// Seeded insert/delete sequences between cracking queries; after every
+// merged tuple the column's values, row ids, cut positions and move count
+// must equal the two-walk reference ripple's (tests/ripple_oracle.h).
+void RunRippleLayoutDifferential(bool with_row_ids) {
+  constexpr std::int64_t kDomain = 4000;
+  const auto base = RandomValues(6000, kDomain, 21);
+  Column col(base, {.policy = MergePolicy::kRipple,
+                    .crack = {.with_row_ids = with_row_ids}});
+  using Oracle = RippleOracle<std::int64_t, row_id_t>;
+  Oracle oracle;
+  const auto resync = [&] {
+    oracle.values.assign(col.values().begin(), col.values().end());
+    oracle.payload.assign(col.row_ids().begin(), col.row_ids().end());
+    oracle.cuts = Oracle::CutsOf(col.index());
+  };
+  const auto expect_same = [&](int step) {
+    ASSERT_TRUE(std::equal(col.values().begin(), col.values().end(),
+                           oracle.values.begin(), oracle.values.end()))
+        << "step " << step;
+    ASSERT_TRUE(std::equal(col.row_ids().begin(), col.row_ids().end(),
+                           oracle.payload.begin(), oracle.payload.end()))
+        << "step " << step;
+    ASSERT_EQ(Oracle::CutsOf(col.index()), oracle.cuts) << "step " << step;
+    ASSERT_EQ(col.update_stats().ripple_element_moves, oracle.moves) << "step " << step;
+    ASSERT_TRUE(col.Validate()) << "step " << step;
+  };
+  Rng rng(with_row_ids ? 31 : 32);
+  std::size_t merged = 0;
+  for (int step = 0; step < 2500; ++step) {
+    const auto dice = rng.NextBounded(10);
+    const auto v = static_cast<std::int64_t>(rng.NextBounded(kDomain));
+    if (dice < 4) {  // crack: point and range cuts of both kinds
+      const std::int64_t w = static_cast<std::int64_t>(rng.NextBounded(40));
+      col.Count(dice == 0 ? Pred::Between(v, v) : Pred::HalfOpen(v, v + w));
+      continue;
+    }
+    resync();
+    oracle.moves = col.update_stats().ripple_element_moves;
+    if (dice < 7) {
+      const row_id_t rid = col.Insert(v);
+      col.MergePendingBudget(1);
+      oracle.Insert(v, rid);
+    } else {
+      // Delete a live tuple: by value (which cracks [x, x] first, so the
+      // oracle resyncs after it) or, with row ids, by (value, rid).
+      const std::size_t at = rng.NextBounded(col.values().size());
+      const std::int64_t x = col.values()[at];
+      if (with_row_ids && dice == 9) {
+        const row_id_t rid = col.row_ids()[at];
+        ASSERT_TRUE(col.Delete(x, rid));
+        col.MergePendingBudget(1);
+        ASSERT_TRUE(oracle.Delete(x, [&](std::size_t i) { return oracle.payload[i] == rid; }));
+      } else {
+        ASSERT_TRUE(col.DeleteValue(x));
+        resync();
+        col.MergePendingBudget(1);
+        ASSERT_TRUE(oracle.Delete(x, [&](std::size_t i) { return oracle.values[i] == x; }));
+      }
+    }
+    ++merged;
+    expect_same(step);
+  }
+  EXPECT_GT(merged, 1000u);
+  EXPECT_GT(col.index().num_pages(), 4u);  // the ripples crossed page borders
+  EXPECT_FALSE(col.has_pending());
+}
+
+TEST(UpdatableColumnTest, RippleLayoutMatchesTwoWalkOracleWithRowIds) {
+  RunRippleLayoutDifferential(/*with_row_ids=*/true);
+}
+
+TEST(UpdatableColumnTest, RippleLayoutMatchesTwoWalkOracleWithoutRowIds) {
+  RunRippleLayoutDifferential(/*with_row_ids=*/false);
 }
 
 }  // namespace
