@@ -1,4 +1,4 @@
-// E12 — Crack-kernel shootout: branchy vs predicated vs unrolled
+// E12 — Crack-kernel shootout: branchy vs unrolled vs simd
 // (core/crack_ops.h) as raw partitioning throughput and as full-workload
 // convergence, across value types, tandem payloads, and piece sizes.
 //
@@ -16,8 +16,8 @@
 //   convergence     full random-range workloads through CrackerColumn
 //                   (crack and stochastic), per kernel
 //   headline        the acceptance metrics on uniform-random int32:
-//                   predicated vs branchy (PR 4), simd vs unrolled and
-//                   single-pass vs two-pass three-way (PR 8); `note`
+//                   unrolled vs branchy, simd vs unrolled and
+//                   single-pass vs two-pass three-way; `note`
 //                   documents the outcome either way so a regression (or
 //                   vector-hostile hardware) is visible in the recorded
 //                   JSON, not silent
@@ -53,7 +53,6 @@ namespace {
 
 constexpr CrackKernel kKernels[] = {
     CrackKernel::kBranchy,
-    CrackKernel::kPredicated,
     CrackKernel::kPredicatedUnrolled,
     CrackKernel::kSimd,
 };
@@ -390,7 +389,7 @@ void FailpointOverheadSection(bench::JsonReport* json, double* gate_ns_out,
 int main(int argc, char** argv) {
   bench::JsonReport json("e12_crack_kernels", argc, argv);
   bench::PrintHeader(
-      "E12 crack kernels: branchy vs predicated vs unrolled vs simd",
+      "E12 crack kernels: branchy vs unrolled vs simd",
       "DaMoN'14 predication argument over the EDBT'12 kernels");
   const std::size_t raw_n = RawKernelRows();
   std::cout << "raw kernels: " << raw_n << " uniform values; convergence: "
@@ -416,9 +415,8 @@ int main(int argc, char** argv) {
   ThreeWaySection(raw_n, &json, &three, &single_default, &twopass_unrolled);
   three.Print(std::cout);
 
-  std::cout << "\npiece-size sweep "
-               "(Mrows/s: branchy | predicated | unrolled | simd):\n";
-  TablePrinter sweep({"piece", "branchy", "predicated", "unrolled", "simd"});
+  std::cout << "\npiece-size sweep (Mrows/s: branchy | unrolled | simd):\n";
+  TablePrinter sweep({"piece", "branchy", "unrolled", "simd"});
   PieceSweepSection(std::min(raw_n, std::size_t{1} << 22), &json, &sweep);
   sweep.Print(std::cout);
 
@@ -431,32 +429,32 @@ int main(int argc, char** argv) {
   double failpoint_overhead_pct = 0;
   FailpointOverheadSection(&json, &gate_ns, &failpoint_overhead_pct);
 
-  // Headline acceptance metrics on uniform int32: predicated vs branchy
-  // (PR 4), simd vs unrolled and single-pass vs two-pass three-way (PR 8).
+  // Headline acceptance metrics on uniform int32: unrolled vs branchy,
+  // simd vs unrolled and single-pass vs two-pass three-way.
   const double branchy_i32 =
       i32_mrows[static_cast<std::size_t>(CrackKernel::kBranchy)];
-  const double predicated_i32 =
-      i32_mrows[static_cast<std::size_t>(CrackKernel::kPredicated)];
   const double unrolled_i32 =
       i32_mrows[static_cast<std::size_t>(CrackKernel::kPredicatedUnrolled)];
   const double simd_i32 = i32_mrows[static_cast<std::size_t>(CrackKernel::kSimd)];
-  const double speedup = branchy_i32 > 0 ? predicated_i32 / branchy_i32 : 0;
-  const bool wins = speedup > 1.0;
+  const double unrolled_vs_branchy =
+      branchy_i32 > 0 ? unrolled_i32 / branchy_i32 : 0;
+  const bool wins = unrolled_vs_branchy > 1.0;
   const double simd_vs_unrolled = unrolled_i32 > 0 ? simd_i32 / unrolled_i32 : 0;
   const double three_way_speedup =
       twopass_unrolled > 0 ? single_default / twopass_unrolled : 0;
   const bool simd_active = Calibrate().simd_available;
   std::string note;
   if (wins) {
-    note = "predicated beats branchy on uniform-random int32 at this scale";
+    note = "unrolled beats branchy on uniform-random int32 at this scale";
   } else {
-    note = "predicated did NOT beat branchy on this hardware at this scale: "
+    note = "unrolled did NOT beat branchy on this hardware at this scale: "
            "likely causes are a branch predictor absorbing the 50/50 pattern "
-           "(unlikely on random data), a memory-bandwidth-bound machine where "
-           "predication's extra load per element erases its mispredict win, "
-           "or a reduced-scale run (AIDX_N set low) where fixed costs "
-           "dominate; rerun at >= 10M rows before reading this as a kernel "
-           "regression";
+           "(unlikely on random data), narrow vector units that leave the "
+           "blocked classify loop unvectorized, a memory-bandwidth-bound "
+           "machine where the blocked swaps' extra traffic erases the "
+           "mispredict win, or a reduced-scale run (AIDX_N set low) where "
+           "fixed costs dominate; rerun at >= 10M rows before reading this "
+           "as a kernel regression";
   }
   if (!simd_active) {
     note += "; kSimd ran the scalar blocked classifier (no AVX2/NEON), so "
@@ -466,11 +464,10 @@ int main(int argc, char** argv) {
       .Set("type", "int32")
       .Set("rows", raw_n)
       .Set("branchy_mrows_per_s", branchy_i32)
-      .Set("predicated_mrows_per_s", predicated_i32)
       .Set("unrolled_mrows_per_s", unrolled_i32)
       .Set("simd_mrows_per_s", simd_i32)
-      .Set("speedup", speedup)
-      .Set("predicated_beats_branchy", wins)
+      .Set("unrolled_vs_branchy", unrolled_vs_branchy)
+      .Set("unrolled_beats_branchy", wins)
       .Set("simd_available", simd_active)
       .Set("simd_vs_unrolled", simd_vs_unrolled)
       .Set("three_way_single_mrows_per_s", single_default)
@@ -481,8 +478,9 @@ int main(int argc, char** argv) {
       .Set("failpoint_gate_ns", gate_ns)
       .Set("failpoint_overhead_pct", failpoint_overhead_pct)
       .Set("note", note);
-  std::cout << "\nheadline: predicated/branchy speedup on int32 = " << speedup
-            << (wins ? " (predicated wins)" : " — see note in JSON output")
+  std::cout << "\nheadline: unrolled/branchy crack-in-two on int32 = "
+            << unrolled_vs_branchy
+            << (wins ? " (unrolled wins)" : " — see note in JSON output")
             << "\nheadline: simd/unrolled crack-in-two on int32 = "
             << simd_vs_unrolled << (simd_active ? "" : " (scalar fallback)")
             << "\nheadline: single-pass/two-pass crack-in-three = "

@@ -120,23 +120,30 @@ MulticolRun RunMulticolWriteMix(const std::vector<std::int64_t>& base,
       const auto lo = static_cast<std::int64_t>(
           rng.NextBounded(static_cast<std::uint64_t>(domain)));
       const auto r = db.SelectProject(
-          "t", "a", RangePredicate<std::int64_t>::Between(lo, lo + domain / 100),
-          {"b", "c"});
+          {.table = "t",
+           .column = "a",
+           .predicate = RangePredicate<std::int64_t>::Between(lo, lo + domain / 100),
+           .tails = {"b", "c"}});
       AIDX_CHECK_OK(r.status());
       out.checksum += r->num_rows;
     } else {
       const auto lo = static_cast<std::int64_t>(
           rng.NextBounded(static_cast<std::uint64_t>(domain)));
       const auto count = db.Count(
-          "t", columns[op % 3],
-          RangePredicate<std::int64_t>::Between(lo, lo + domain / 100), config);
+          {.table = "t",
+           .column = columns[op % 3],
+           .predicate = RangePredicate<std::int64_t>::Between(lo, lo + domain / 100),
+           .strategy = config});
       AIDX_CHECK_OK(count.status());
       out.checksum += *count;
     }
   }
   out.total_seconds = timer.ElapsedSeconds();
   const auto final_count =
-      db.Count("t", "a", RangePredicate<std::int64_t>::All(), config);
+      db.Count({.table = "t",
+                .column = "a",
+                .predicate = RangePredicate<std::int64_t>::All(),
+                .strategy = config});
   AIDX_CHECK_OK(final_count.status());
   out.final_rows = *final_count;
   return out;

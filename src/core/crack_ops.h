@@ -12,7 +12,7 @@
 // ## Kernels
 //
 // Every strategy in this repo bottoms out in these partitioning loops, so
-// their inner-loop shape *is* the system's hot path. Four interchangeable
+// their inner-loop shape *is* the system's hot path. Three interchangeable
 // kernels implement the same multiset-partition contract (identical split
 // points; element order within a side is unspecified, as everywhere in a
 // cracked column):
@@ -25,21 +25,15 @@
 //                       2014, "Database cracking: fancy scan, not poor
 //                       man's sort!").
 //
-//   kPredicated         Branch-free "hole passing": one value rides in a
-//                       register, each step writes it to the side chosen by
-//                       the comparison *result* (cursor arithmetic /
-//                       cmov-style selects, no control dependency) and
-//                       refills the register from the slot it opened.
-//                       Exactly one store and two loads per element,
-//                       tandem-payload capable, zero mispredicts.
-//
-//   kPredicatedUnrolled The same idea restructured around fixed-size
+//   kPredicatedUnrolled Branch-free partitioning around fixed-size
 //                       blocks (BlockQuicksort-style): a tight, manually
 //                       unrolled compare loop classifies a 64-element block
 //                       into a flag buffer (the loop autovectorizes — no
 //                       stores depend on the comparisons), a branch-free
 //                       compaction turns flags into misplaced-element
 //                       offsets, and misplaced pairs are swapped wholesale.
+//                       The sub-block tail runs the branch-free "hole
+//                       passing" loop (CrackInTwoPredicatedImpl).
 //
 //   kSimd               Explicit intrinsics, two shapes. Value-only cracks
 //                       (AVX2) partition each vector *in registers*:
@@ -65,13 +59,12 @@
 //                       kPredicatedUnrolled.
 //
 // Dispatch is piece-size aware: below a threshold the branchy sweep wins
-// (predication's fixed per-element cost and the blocked kernel's setup lose
-// to a handful of cheap, mostly-predictable branches), so the non-branchy
-// kernels silently fall back on tiny pieces. The threshold defaults to the
-// calibrated value (kPredicationMinPiece before/without calibration) and is
-// overridable per call site via the min_piece parameter
-// (StrategyConfig::predication_min_piece upstream). bench_e12 measures the
-// crossover.
+// (the blocked kernels' setup loses to a handful of cheap, mostly-
+// predictable branches), so the non-branchy kernels silently fall back on
+// tiny pieces. The threshold is the calibrated value (kPredicationMinPiece
+// before/without calibration); the min_piece parameter pins it for one call
+// (the calibration sweep passes 1 to measure a kernel without the
+// fallback). bench_e12 measures the crossover.
 #pragma once
 
 #include <algorithm>
@@ -109,21 +102,18 @@ namespace aidx {
 /// it for every strategy (StrategyConfig::crack_kernel).
 enum class CrackKernel : char {
   kBranchy,             // Hoare sweep, data-dependent branches (the classic)
-  kPredicated,          // branch-free hole passing, cmov-style selects
   kPredicatedUnrolled,  // blocked + unrolled, autovectorizable compare loop
   kSimd,                // blocked + explicit AVX2/NEON classify, LUT compact
   kAuto,                // resolve via the startup calibration sweep
 };
 
 /// Number of concrete (measurable) kernels; kAuto resolves to one of these.
-inline constexpr std::size_t kNumCrackKernels = 4;
+inline constexpr std::size_t kNumCrackKernels = 3;
 
 inline const char* CrackKernelName(CrackKernel kernel) {
   switch (kernel) {
     case CrackKernel::kBranchy:
       return "branchy";
-    case CrackKernel::kPredicated:
-      return "predicated";
     case CrackKernel::kPredicatedUnrolled:
       return "unrolled";
     case CrackKernel::kSimd:
@@ -143,8 +133,6 @@ inline const char* CrackKernelSuffix(CrackKernel kernel) {
   switch (kernel) {
     case CrackKernel::kBranchy:
       return "+branchy";
-    case CrackKernel::kPredicated:
-      return "+pred";
     case CrackKernel::kPredicatedUnrolled:
       return "+vec";
     case CrackKernel::kSimd:
@@ -874,12 +862,6 @@ std::size_t CrackInTwoWithBelow(std::span<T> values, std::span<Payload> payloads
                ? CrackInTwoBranchyImpl<false>(v, static_cast<Payload*>(nullptr), n,
                                               below)
                : CrackInTwoBranchyImpl<true>(v, payloads.data(), n, below);
-  }
-  if (kernel == CrackKernel::kPredicated) {
-    return payloads.empty()
-               ? CrackInTwoPredicatedImpl<false>(v, static_cast<Payload*>(nullptr),
-                                                 n, below)
-               : CrackInTwoPredicatedImpl<true>(v, payloads.data(), n, below);
   }
   if (kernel == CrackKernel::kSimd && SimdKernelAvailable()) {
 #if defined(AIDX_SIMD_AVX2)

@@ -79,8 +79,6 @@ class HybridIndex {
     bool with_row_ids = true;
     /// Crack kernel applied by every cracked segment (core/crack_ops.h).
     CrackKernel kernel = CrackKernel::kAuto;
-    /// Branchy-fallback piece threshold; 0 = calibrated process default.
-    std::size_t predication_min_piece = 0;
   };
 
   /// "HCC", "HCS", ... — the paper's naming for a policy pair.
@@ -110,9 +108,7 @@ class HybridIndex {
                               {.mode = options_.initial_mode,
                                .radix_bits = options_.radix_bits,
                                .with_row_ids = options_.with_row_ids,
-                               .kernel = options_.kernel,
-                               .predication_min_piece =
-                                   options_.predication_min_piece}),
+                               .kernel = options_.kernel}),
           n});
     }
   }
@@ -296,9 +292,7 @@ class HybridIndex {
                             {.mode = options_.initial_mode,
                              .radix_bits = options_.radix_bits,
                              .with_row_ids = options_.with_row_ids,
-                             .kernel = options_.kernel,
-                             .predication_min_piece =
-                                 options_.predication_min_piece}),
+                             .kernel = options_.kernel}),
         n});
   }
 
@@ -334,9 +328,7 @@ class HybridIndex {
                                                {.mode = options_.final_mode,
                                                 .radix_bits = options_.radix_bits,
                                                 .with_row_ids = options_.with_row_ids,
-                                                .kernel = options_.kernel,
-                                                .predication_min_piece =
-                                                    options_.predication_min_piece}),
+                                                .kernel = options_.kernel}),
                            bounds});
     ++stats_.final_segments;
   }
@@ -376,9 +368,7 @@ class HybridIndex {
                                            {.mode = options_.final_mode,
                                             .radix_bits = options_.radix_bits,
                                             .with_row_ids = options_.with_row_ids,
-                                            .kernel = options_.kernel,
-                                            .predication_min_piece =
-                                                options_.predication_min_piece}),
+                                            .kernel = options_.kernel}),
                        gap};
       // Eager policies (sort/radix) pay their organization cost at merge
       // time — the "what's merged gets organized" half of the hybrid idea.

@@ -102,8 +102,8 @@ void SweepWidth(CrackKernel* kernel_out, std::size_t* min_piece_out,
   const T cut_value = static_cast<T>(std::uint64_t{1} << 19);  // ~median
 
   constexpr CrackKernel kCandidates[] = {
-      CrackKernel::kBranchy, CrackKernel::kPredicated,
-      CrackKernel::kPredicatedUnrolled, CrackKernel::kSimd};
+      CrackKernel::kBranchy, CrackKernel::kPredicatedUnrolled,
+      CrackKernel::kSimd};
   CrackKernel winner = CrackKernel::kPredicatedUnrolled;
   double winner_mrows = 0.0;
   for (const CrackKernel kernel : kCandidates) {

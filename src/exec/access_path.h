@@ -93,9 +93,6 @@ struct StrategyConfig {
   // default resolves to the host-calibrated kernel at the dispatch point
   // (core/kernel_autotune.h); pin a concrete kernel for differentials.
   CrackKernel crack_kernel = CrackKernel::kAuto;
-  // Piece size below which non-branchy kernels fall back to the branchy
-  // sweep; 0 defers to the calibrated process default.
-  std::size_t predication_min_piece = 0;
   // kParallelCrack intra-partition latch protocol: piece-granularity
   // striped rwlatches (default) or the one-mutex-per-partition baseline
   // kept for differential testing, plus the per-partition stripe-table
@@ -103,12 +100,10 @@ struct StrategyConfig {
   LatchMode latch_mode = LatchMode::kStripedPiece;
   std::size_t latch_stripes = 16;
   // kParallelCrack write path: piece-routed striped buffering (default)
-  // or the coarse shard-exclusive baseline, whether the stripe table
-  // grows with realized cuts, and the buffered-write count that triggers
-  // a background merge on the shared pool (0 = foreground-only;
-  // docs/UPDATES.md).
+  // or the coarse shard-exclusive baseline, and the buffered-write count
+  // that triggers a background merge on the shared pool (0 =
+  // foreground-only; docs/UPDATES.md).
   WriteMode write_mode = WriteMode::kStripedWrite;
-  bool adaptive_stripes = true;
   std::size_t background_merge_threshold = 0;
 
   /// Structural equality over every knob — the Database path cache keys on
@@ -144,7 +139,7 @@ struct StrategyConfig {
   }
 
   /// Short display name used in figures and reports ("crack", "HCS", ...).
-  /// Kernel-variant strategies carry a "+pred"/"+vec" suffix so figures —
+  /// Kernel-variant strategies carry a "+vec"/"+simd" suffix so figures —
   /// and anything keyed on the name — can never alias kernel variants
   /// (the Database cache keys on the full config regardless).
   std::string DisplayName() const {
@@ -156,10 +151,8 @@ struct StrategyConfig {
         kind == StrategyKind::kParallelCrack ||
         (kind == StrategyKind::kHybrid && (hybrid_initial != OrganizeMode::kSort ||
                                            hybrid_final != OrganizeMode::kSort));
-    std::string kernel_suffix = cracks ? CrackKernelSuffix(crack_kernel) : "";
-    if (cracks && predication_min_piece > 0) {
-      kernel_suffix += "+mp" + std::to_string(predication_min_piece);
-    }
+    const std::string kernel_suffix =
+        cracks ? CrackKernelSuffix(crack_kernel) : "";
     switch (kind) {
       case StrategyKind::kFullScan:
         return "scan";
@@ -192,7 +185,6 @@ struct StrategyConfig {
           name += "-s" + std::to_string(latch_stripes);
         }
         if (write_mode == WriteMode::kCoarseWrite) name += "-wc";
-        if (!adaptive_stripes) name += "-fs";
         if (background_merge_threshold > 0) {
           name += "-bg" + std::to_string(background_merge_threshold);
         }
@@ -544,7 +536,6 @@ class CrackPath final : public AccessPath<T> {
       options.with_row_ids = config_.with_row_ids;
       options.min_piece_size = config_.min_piece_size;
       options.kernel = config_.crack_kernel;
-      options.predication_min_piece = config_.predication_min_piece;
       if (config_.kind == StrategyKind::kStochasticCrack) {
         options.stochastic_threshold = config_.stochastic_threshold;
         options.stochastic_seed = config_.seed;
@@ -653,9 +644,7 @@ class HybridPath final : public AccessPath<T> {
                                 .final_mode = config_.hybrid_final,
                                 .radix_bits = config_.radix_bits,
                                 .with_row_ids = config_.with_row_ids,
-                                .kernel = config_.crack_kernel,
-                                .predication_min_piece =
-                                    config_.predication_min_piece});
+                                .kernel = config_.crack_kernel});
     }
     return *index_;
   }
@@ -747,15 +736,12 @@ class ParallelCrackPath final : public AccessPath<T> {
       options.column_options.with_row_ids = config_.with_row_ids;
       options.column_options.min_piece_size = config_.min_piece_size;
       options.column_options.kernel = config_.crack_kernel;
-      options.column_options.predication_min_piece =
-          config_.predication_min_piece;
       options.splitter_seed = config_.seed;
       options.merge_policy = config_.merge_policy;
       options.gradual_budget = config_.gradual_budget;
       options.latch_mode = config_.latch_mode;
       options.latch_stripes = config_.latch_stripes;
       options.write_mode = config_.write_mode;
-      options.adaptive_stripes = config_.adaptive_stripes;
       options.background_merge_threshold = config_.background_merge_threshold;
       column_.emplace(base_, options, pool_.get());
     });

@@ -35,11 +35,9 @@ std::size_t PathKeyHash::operator()(const PathKey& key) const {
   h = HashCombine(h, c.gradual_budget);
   h = HashCombine(h, static_cast<std::size_t>(c.with_row_ids));
   h = HashCombine(h, static_cast<std::size_t>(c.crack_kernel));
-  h = HashCombine(h, c.predication_min_piece);
   h = HashCombine(h, static_cast<std::size_t>(c.latch_mode));
   h = HashCombine(h, c.latch_stripes);
   h = HashCombine(h, static_cast<std::size_t>(c.write_mode));
-  h = HashCombine(h, static_cast<std::size_t>(c.adaptive_stripes));
   h = HashCombine(h, c.background_merge_threshold);
   return h;
 }
@@ -86,17 +84,8 @@ Result<std::span<const std::int64_t>> Database::ColumnSpan(
 }
 
 void Database::DropSideways(std::string_view table) {
-  std::string prefix;
-  prefix.reserve(table.size() + 1);
-  prefix.append(table);
-  prefix.push_back('.');
-  for (auto it = sideways_.begin(); it != sideways_.end();) {
-    if (it->first.starts_with(prefix)) {
-      it = sideways_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  const auto it = sideways_.find(table);
+  if (it != sideways_.end()) sideways_.erase(it);
 }
 
 Result<Table*> Database::PrepareRowDml(std::string_view table) {
@@ -170,18 +159,6 @@ Status Database::Insert(std::string_view table,
   return Status::OK();
 }
 
-Status Database::Insert(std::string_view table, std::string_view column,
-                        std::int64_t value) {
-  AIDX_ASSIGN_OR_RETURN(Table * t, catalog_.GetTable(table));
-  AIDX_RETURN_NOT_OK(t->ColumnIndex(column).status());
-  if (t->num_columns() != 1) {
-    return Status::InvalidArgument(
-        "column-addressed insert into multi-column table '" + t->name() +
-        "' would desynchronize rows; use the row overload");
-  }
-  return Insert(table, std::span<const std::int64_t>(&value, 1));
-}
-
 Status Database::InsertBatch(std::string_view table,
                              std::span<const std::int64_t> rows) {
   AIDX_ASSIGN_OR_RETURN(Table * t, PrepareRowDml(table));
@@ -212,18 +189,6 @@ Status Database::InsertBatch(std::string_view table,
     t->AppendRow(row, rid);
   }
   return Status::OK();
-}
-
-Status Database::InsertBatch(std::string_view table, std::string_view column,
-                             std::span<const std::int64_t> values) {
-  AIDX_ASSIGN_OR_RETURN(Table * t, catalog_.GetTable(table));
-  AIDX_RETURN_NOT_OK(t->ColumnIndex(column).status());
-  if (t->num_columns() != 1) {
-    return Status::InvalidArgument(
-        "column-addressed batch insert into multi-column table '" + t->name() +
-        "' would desynchronize rows; use the row-major overload");
-  }
-  return InsertBatch(table, values);
 }
 
 void Database::DeleteFromPaths(std::string_view table, const Table& t,
@@ -332,13 +297,7 @@ Result<double> Database::Sum(const QueryRequest& req) {
 
 Result<SidewaysCracker<std::int64_t>*> Database::SidewaysFor(std::string_view table,
                                                              std::string_view head) {
-  std::string key;
-  key.reserve(table.size() + head.size() + 1);
-  key.append(table);
-  key.push_back('.');
-  key.append(head);
-  const auto it = sideways_.find(key);
-  if (it != sideways_.end()) return it->second.get();
+  if (auto* cached = CachedSideways(table, head)) return cached;
 
   AIDX_ASSIGN_OR_RETURN(Table * t, catalog_.GetTable(table));
   AIDX_RETURN_NOT_OK(t->GetTypedColumn<std::int64_t>(head).status());
@@ -354,7 +313,8 @@ Result<SidewaysCracker<std::int64_t>*> Database::SidewaysFor(std::string_view ta
     AIDX_RETURN_NOT_OK(cracker->AddTailColumn(name));
   }
   SidewaysCracker<std::int64_t>* raw = cracker.get();
-  sideways_.emplace(std::move(key), std::move(cracker));
+  sideways_.try_emplace(std::string(table))
+      .first->second.emplace(std::string(head), std::move(cracker));
   return raw;
 }
 
@@ -377,12 +337,8 @@ Result<ProjectionResult<std::int64_t>> Database::SelectProject(
   }
   SyncResourceGauges();
   if (!governor_->Admit(incoming)) {
-    std::string keep;
-    keep.reserve(table.size() + head.size() + 1);
-    keep.append(table);
-    keep.push_back('.');
-    keep.append(head);
-    governor_->SetPressureCallback([this, &keep] { ShedSidewaysExcept(keep); });
+    governor_->SetPressureCallback(
+        [this, table, head] { ShedSidewaysExcept(table, head); });
     governor_->MaybeShed(incoming);
     governor_->SetPressureCallback(nullptr);
     SyncResourceGauges();
@@ -422,20 +378,36 @@ Result<ProjectionResult<std::int64_t>> Database::ScanProject(
   return out;
 }
 
-void Database::ShedSidewaysExcept(const std::string& keep) {
-  for (auto it = sideways_.begin(); it != sideways_.end();) {
-    if (it->first != keep) {
-      it = sideways_.erase(it);
-    } else {
-      ++it;
-    }
+void Database::ShedSidewaysExcept(std::string_view table,
+                                  std::string_view head) {
+  std::erase_if(sideways_,
+                [&](const auto& by_table) { return by_table.first != table; });
+  if (const auto it = sideways_.find(table); it != sideways_.end()) {
+    std::erase_if(it->second,
+                  [&](const auto& entry) { return entry.first != head; });
   }
+}
+
+SidewaysCracker<std::int64_t>* Database::CachedSideways(
+    std::string_view table, std::string_view head) const {
+  const auto by_table = sideways_.find(table);
+  if (by_table == sideways_.end()) return nullptr;
+  const auto it = by_table->second.find(head);
+  return it == by_table->second.end() ? nullptr : it->second.get();
+}
+
+std::size_t Database::num_cached_sideways() const {
+  std::size_t n = 0;
+  for (const auto& [table, heads] : sideways_) n += heads.size();
+  return n;
 }
 
 void Database::SyncResourceGauges() {
   std::size_t sideways_bytes = 0;
-  for (const auto& [key, cracker] : sideways_) {
-    sideways_bytes += cracker->MemoryUsageBytes();
+  for (const auto& [table, heads] : sideways_) {
+    for (const auto& [head, cracker] : heads) {
+      sideways_bytes += cracker->MemoryUsageBytes();
+    }
   }
   governor_->SetUsage(ResourceComponent::kSidewaysMaps, sideways_bytes);
   std::size_t pending_bytes = 0;
@@ -447,16 +419,10 @@ void Database::SyncResourceGauges() {
 
 Result<const SidewaysCracker<std::int64_t>*> Database::SidewaysState(
     std::string_view table, std::string_view head) const {
-  std::string key;
-  key.reserve(table.size() + head.size() + 1);
-  key.append(table);
-  key.push_back('.');
-  key.append(head);
-  const auto it = sideways_.find(key);
-  if (it == sideways_.end()) {
-    return Status::NotFound("no cached sideways cracker for '" + key + "'");
-  }
-  return static_cast<const SidewaysCracker<std::int64_t>*>(it->second.get());
+  if (const auto* cached = CachedSideways(table, head)) return cached;
+  return Status::NotFound("no cached sideways cracker for table '" +
+                          std::string(table) + "', head '" + std::string(head) +
+                          "'");
 }
 
 void Database::ResetAdaptiveState() {
@@ -472,7 +438,7 @@ DatabaseStats Database::Stats() const {
     if (table.ok()) out.rows += (*table)->num_rows();
   }
   out.cached_paths = paths_.size();
-  out.cached_sideways = sideways_.size();
+  out.cached_sideways = num_cached_sideways();
   for (const auto& [key, path] : paths_) {
     out.cracked_pieces += path->num_cracked_pieces();
     out.pending_update_bytes += path->approx_pending_bytes();

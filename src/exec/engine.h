@@ -38,11 +38,6 @@
 // on the next touch — cracked investment survives writes. Only AddColumn
 // (a schema change) still drops a table's cached sideways state.
 //
-// Single-column tables keep the historical column-addressed DML surface
-// (Insert/InsertBatch with a column name); on a multi-column table those
-// overloads return InvalidArgument instead of silently desynchronizing
-// the table — use the row overloads.
-//
 // The type is move-only and not thread-safe: callers wanting concurrency
 // wrap paths in SerializedAccessPath (exec/serialized_path.h), shard by
 // column, or use StrategyKind::kParallelCrack, whose access path latches
@@ -54,9 +49,7 @@
 // predicate, strategy, optional context, projection tails — with one
 // entry per verb (Count / Sum / SelectProject). A request is the
 // serializable unit the dist router (src/dist/) forwards to a shard
-// verbatim, and what a future socket front-end would ship. The historical
-// per-argument overloads remain as thin inline shims over the request
-// form; they are deprecated in favor of it (docs/UPDATES.md).
+// verbatim, and what a future socket front-end would ship.
 //
 // Usage:
 //   Database db;                       // or Database(DatabaseOptions{...})
@@ -74,7 +67,9 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <initializer_list>
+#include <map>
 #include <memory>
 #include <optional>
 #include <span>
@@ -141,17 +136,17 @@ struct DatabaseOptions {
 /// optional `context`); SelectProject reads `table`/`column` (the head) /
 /// `predicate`/`tails`. The dist router forwards requests verbatim.
 struct QueryRequest {
-  std::string table;
+  std::string table{};
   /// The aggregated column, or the selection head for SelectProject.
-  std::string column;
+  std::string column{};
   RangePredicate<std::int64_t> predicate = RangePredicate<std::int64_t>::All();
   /// Which adaptive structure answers (and adapts); ignored by
   /// SelectProject, whose sideways maps have their own machinery.
-  StrategyConfig strategy;
+  StrategyConfig strategy{};
   /// Deadline/cancellation; nullopt runs in the background context.
-  std::optional<QueryContext> context;
+  std::optional<QueryContext> context{};
   /// Projected columns (SelectProject only).
-  std::vector<std::string> tails;
+  std::vector<std::string> tails{};
 };
 
 /// Aggregate engine gauges for health endpoints (dist ShardStats).
@@ -201,21 +196,11 @@ class Database {
     return Insert(table, std::span<const std::int64_t>(row.begin(), row.size()));
   }
 
-  /// Column-addressed compatibility form: valid only on single-column
-  /// tables (where it is the one-wide row insert); InvalidArgument on
-  /// multi-column tables, which require the row overload.
-  Status Insert(std::string_view table, std::string_view column,
-                std::int64_t value);
-
   /// Batch row insert: `rows` is row-major, size a multiple of the column
   /// count. Same row-atomic contract as Insert; validation covers the
   /// whole batch before any row applies.
   Status InsertBatch(std::string_view table,
                      std::span<const std::int64_t> rows);
-
-  /// Column-addressed compatibility form; single-column tables only.
-  Status InsertBatch(std::string_view table, std::string_view column,
-                     std::span<const std::int64_t> values);
 
   /// Deletes the first base row (lowest position) whose `column` value
   /// equals `value`, row-atomically across all columns, cached paths, and
@@ -253,47 +238,6 @@ class Database {
   /// incrementally under DML).
   Result<ProjectionResult<std::int64_t>> SelectProject(const QueryRequest& req);
 
-  // -- Deprecated per-argument overloads ------------------------------------
-  //
-  // Thin shims over the QueryRequest form, kept for source compatibility
-  // (docs/UPDATES.md marks them deprecated). New code — and anything that
-  // may one day cross a wire — should build a QueryRequest.
-
-  Result<std::size_t> Count(std::string_view table, std::string_view column,
-                            const RangePredicate<std::int64_t>& pred,
-                            const StrategyConfig& config) {
-    return Count(MakeRequest(table, column, pred, config));
-  }
-  Result<std::size_t> Count(std::string_view table, std::string_view column,
-                            const RangePredicate<std::int64_t>& pred,
-                            const StrategyConfig& config,
-                            const QueryContext& ctx) {
-    QueryRequest req = MakeRequest(table, column, pred, config);
-    req.context = ctx;
-    return Count(req);
-  }
-  Result<double> Sum(std::string_view table, std::string_view column,
-                     const RangePredicate<std::int64_t>& pred,
-                     const StrategyConfig& config) {
-    return Sum(MakeRequest(table, column, pred, config));
-  }
-  Result<double> Sum(std::string_view table, std::string_view column,
-                     const RangePredicate<std::int64_t>& pred,
-                     const StrategyConfig& config, const QueryContext& ctx) {
-    QueryRequest req = MakeRequest(table, column, pred, config);
-    req.context = ctx;
-    return Sum(req);
-  }
-  Result<ProjectionResult<std::int64_t>> SelectProject(
-      std::string_view table, std::string_view head,
-      const RangePredicate<std::int64_t>& pred,
-      const std::vector<std::string>& tails) {
-    QueryRequest req = MakeRequest(table, head, pred, StrategyConfig());
-    req.tails = tails;
-    return SelectProject(req);
-  }
-  // -------------------------------------------------------------------------
-
   /// Drops every cached adaptive structure (access paths and sideways
   /// maps); base tables are untouched.
   void ResetAdaptiveState();
@@ -315,7 +259,7 @@ class Database {
 
   const Catalog& catalog() const { return catalog_; }
   std::size_t num_cached_paths() const { return paths_.size(); }
-  std::size_t num_cached_sideways() const { return sideways_.size(); }
+  std::size_t num_cached_sideways() const;
 
   /// Borrowed pool handed in via DatabaseOptions; null when none was.
   ThreadPool* thread_pool() const { return thread_pool_; }
@@ -341,16 +285,11 @@ class Database {
                           const std::vector<ColumnCutExport>& exports);
 
  private:
-  static QueryRequest MakeRequest(std::string_view table, std::string_view column,
-                                  const RangePredicate<std::int64_t>& pred,
-                                  const StrategyConfig& config) {
-    QueryRequest req;
-    req.table = std::string(table);
-    req.column = std::string(column);
-    req.predicate = pred;
-    req.strategy = config;
-    return req;
-  }
+  /// A table's cached sideways crackers, keyed by head column. The cache
+  /// is keyed by table first, so names containing '.' cannot collide.
+  using SidewaysByHead =
+      std::map<std::string, std::unique_ptr<SidewaysCracker<std::int64_t>>,
+               std::less<>>;
 
   Result<std::span<const std::int64_t>> ColumnSpan(std::string_view table,
                                                    std::string_view column) const;
@@ -359,6 +298,9 @@ class Database {
                                             const StrategyConfig& config);
   Result<SidewaysCracker<std::int64_t>*> SidewaysFor(std::string_view table,
                                                      std::string_view head);
+  /// The cached sideways cracker of (table, head), or null.
+  SidewaysCracker<std::int64_t>* CachedSideways(std::string_view table,
+                                                std::string_view head) const;
   /// The validate phase shared by every DML entry point: resolves the
   /// table, type-checks *all* its columns, fires the fault hook. After it
   /// returns OK, the apply phase cannot fail.
@@ -373,15 +315,9 @@ class Database {
   /// Visits every cached sideways cracker of `table` as (head_name, cracker).
   template <typename Fn>
   void ForEachSidewaysOf(std::string_view table, Fn&& fn) {
-    std::string prefix;
-    prefix.reserve(table.size() + 1);
-    prefix.append(table);
-    prefix.push_back('.');
-    for (auto& [key, cracker] : sideways_) {
-      if (key.starts_with(prefix)) {
-        fn(std::string_view(key).substr(prefix.size()), *cracker);
-      }
-    }
+    const auto it = sideways_.find(table);
+    if (it == sideways_.end()) return;
+    for (auto& [head, cracker] : it->second) fn(head, *cracker);
   }
   /// A cached sideways cracker of a table with its head and registered
   /// tails resolved to column_names() indices — resolved once per DML call.
@@ -401,9 +337,10 @@ class Database {
                        std::span<const std::int64_t> row);
   /// Drops the table's cached sideways crackers (schema changes only).
   void DropSideways(std::string_view table);
-  /// Pressure reaction: drops every cached sideways cracker except `keep`
-  /// (maps are pure acceleration state and rebuild on demand).
-  void ShedSidewaysExcept(const std::string& keep);
+  /// Pressure reaction: drops every cached sideways cracker except the one
+  /// of (table, head) (maps are pure acceleration state and rebuild on
+  /// demand).
+  void ShedSidewaysExcept(std::string_view table, std::string_view head);
   /// Refreshes the governor's gauges from the live structures.
   void SyncResourceGauges();
   /// Scan-plus-crack-later projection: answers σ_pred(head) ⋉ tails by
@@ -418,8 +355,7 @@ class Database {
   std::unordered_map<internal::PathKey, std::unique_ptr<AccessPath<std::int64_t>>,
                      internal::PathKeyHash>
       paths_;
-  std::unordered_map<std::string, std::unique_ptr<SidewaysCracker<std::int64_t>>>
-      sideways_;
+  std::map<std::string, SidewaysByHead, std::less<>> sideways_;
   // unique_ptr: the governor holds a mutex (not movable) and the Database
   // keeps its defaulted moves.
   std::unique_ptr<ResourceGovernor> governor_ = std::make_unique<ResourceGovernor>();

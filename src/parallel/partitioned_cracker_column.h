@@ -207,15 +207,12 @@ struct PartitionedCrackerOptions {
   LatchMode latch_mode = LatchMode::kStripedPiece;
   /// Stripe-latch table size per partition under kStripedPiece, clamped to
   /// [1, 64]. More stripes = fewer false conflicts between disjoint pieces,
-  /// at a few hundred bytes per partition.
+  /// at a few hundred bytes per partition. The table is allocated at this
+  /// size, but each shard's *active* stripe count starts small and doubles
+  /// with its realized cut count up to it.
   std::size_t latch_stripes = 16;
   /// Write-path protocol under kStripedPiece (ignored in kPartitionMutex).
   WriteMode write_mode = WriteMode::kStripedWrite;
-  /// Grow each shard's *active* stripe count with its realized cut count
-  /// (starting small, doubling up to latch_stripes) instead of hashing into
-  /// the full table from the first query. Latch-table memory is allocated
-  /// at the cap either way; this only tunes the block -> stripe mapping.
-  bool adaptive_stripes = true;
   /// Buffered writes per shard that trigger a background merge on the
   /// borrowed pool (0 disables the mode machine; writes then merge on the
   /// next coarse-path query, the PR-5 behavior).
@@ -795,8 +792,7 @@ class PartitionedCrackerColumn {
   std::size_t latch_stripes() const { return shards_.front()->stripes.size(); }
   /// Partition p's *active* stripe count — how many of the allocated
   /// stripes the block hash currently maps to. Starts small and doubles
-  /// with realized cuts under adaptive_stripes; pinned at the capacity
-  /// otherwise. Thread-safe.
+  /// with realized cuts up to the capacity. Thread-safe.
   std::size_t active_stripes(std::size_t p) const {
     AIDX_CHECK(p < shards_.size());
     const std::shared_lock<std::shared_mutex> guard(shards_[p]->structural);
@@ -863,9 +859,9 @@ class PartitionedCrackerColumn {
   /// in distinct blocks, while a huge early piece simply covers every
   /// stripe (equivalent to whole-partition exclusion — which it is).
   static constexpr std::size_t kStripeBlockShift = 8;
-  /// Initial active stripe count under adaptive_stripes: a nearly uncracked
-  /// shard has few pieces, so a few wide stripes conflict no more than many
-  /// narrow ones and cost fewer latch acquisitions per piece.
+  /// Initial active stripe count: a nearly uncracked shard has few pieces,
+  /// so a few wide stripes conflict no more than many narrow ones and cost
+  /// fewer latch acquisitions per piece.
   static constexpr std::size_t kInitialActiveStripes = 4;
   /// Per-shard slots for the free-status registry (threads hash into one).
   static constexpr std::size_t kFreeStatusSlots = 32;
@@ -919,10 +915,7 @@ class PartitionedCrackerColumn {
                                                 kMaxLatchStripes)
                       : 1),
           write_buckets(stripes.size()),
-          active_stripes(parent.latch_mode == LatchMode::kStripedPiece &&
-                                 parent.adaptive_stripes
-                             ? std::min(kInitialActiveStripes, stripes.size())
-                             : stripes.size()),
+          active_stripes(std::min(kInitialActiveStripes, stripes.size())),
           index(self_index),
           // Same seed as the inner column's stochastic rng: single-threaded
           // pure-query runs then pick identical pivots in both latch modes,
@@ -1833,10 +1826,7 @@ class PartitionedCrackerColumn {
   /// holds whole-partition exclusion, so no thread can hold a stripe latch
   /// and the block -> stripe remap is safe.
   void MaybeGrowStripes(Shard& shard) const {
-    if (options_.latch_mode != LatchMode::kStripedPiece ||
-        !options_.adaptive_stripes) {
-      return;
-    }
+    if (options_.latch_mode != LatchMode::kStripedPiece) return;
     const std::size_t cuts = shard.column.index().num_cuts();
     shard.realized_cuts.store(cuts, std::memory_order_relaxed);
     const std::size_t cap = shard.stripes.size();
@@ -1849,8 +1839,7 @@ class PartitionedCrackerColumn {
   /// relaxed cut mirror). Caller holds `structural` shared, which pins
   /// active_stripes.
   bool StripeGrowthDue(const Shard& shard) const {
-    return options_.adaptive_stripes &&
-           shard.active_stripes < shard.stripes.size() &&
+    return shard.active_stripes < shard.stripes.size() &&
            shard.realized_cuts.load(std::memory_order_relaxed) >=
                2 * shard.active_stripes;
   }

@@ -82,8 +82,6 @@ class SidewaysCracker {
     /// Crack kernel applied by every map (head and tail move in tandem, so
     /// this exercises the kernels' payload path; core/crack_ops.h).
     CrackKernel kernel = CrackKernel::kAuto;
-    /// Branchy-fallback piece threshold; 0 = calibrated process default.
-    std::size_t predication_min_piece = 0;
   };
 
   /// Span mode: borrows the base columns; they must outlive the cracker and
@@ -393,7 +391,7 @@ class SidewaysCracker {
         entry.map = std::make_unique<CrackerMap<T>>(
             head_span, tail_span,
             table_ != nullptr ? table_->row_ids() : std::span<const row_id_t>{},
-            options_.kernel, options_.predication_min_piece);
+            options_.kernel);
         if (num_dml_ops_ == 0) {
           entry.ops_pos = 0;  // a fresh map replays the whole (select) log
         } else {

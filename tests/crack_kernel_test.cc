@@ -26,7 +26,6 @@ namespace {
 
 constexpr CrackKernel kAllKernels[] = {
     CrackKernel::kBranchy,
-    CrackKernel::kPredicated,
     CrackKernel::kPredicatedUnrolled,
     CrackKernel::kSimd,
 };
@@ -35,7 +34,6 @@ constexpr CrackKernel kAllKernels[] = {
 // oracle. kSimd is always in the list: on hosts without AVX2/NEON it
 // resolves to the scalar blocked classifier, which must be just as exact.
 constexpr CrackKernel kVariantKernels[] = {
-    CrackKernel::kPredicated,
     CrackKernel::kPredicatedUnrolled,
     CrackKernel::kSimd,
 };
@@ -130,6 +128,55 @@ TYPED_TEST(CrackKernelTypedTest, CrackInTwoKeepsPayloadsInTandem) {
       for (std::size_t i = 0; i < n; ++i) {
         ASSERT_EQ(values[i], base[rids[i]])
             << CrackKernelName(kernel) << " payload detached at " << i;
+      }
+    }
+  }
+}
+
+// The blocked kernels finish whatever does not fill their blocks with the
+// scalar hole-passing loop (CrackInTwoPredicatedImpl), so pieces of up to
+// two blocks run through that loop at every residual length. min_piece = 1
+// keeps the dispatch from handing these small pieces to the branchy sweep.
+TYPED_TEST(CrackKernelTypedTest, BlockedKernelTailMatchesBranchyOracle) {
+  using T = TypeParam;
+  Rng rng(2718);
+  for (std::size_t n = 0; n <= 2 * internal::kCrackBlock; ++n) {
+    for (const std::uint64_t domain : {8u, 1u << 16}) {
+      const std::vector<T> base = RandomValues<T>(n, domain, &rng);
+      for (const CutKind kind : {CutKind::kLess, CutKind::kLessEq}) {
+        const Cut<T> cut{ValueDomain<T>::Make(rng.NextBounded(domain + 1)), kind};
+        std::vector<T> oracle = base;
+        const std::size_t want = CrackInTwo<T>(oracle, {}, cut,
+                                               CrackKernel::kBranchy,
+                                               /*min_piece=*/1);
+        for (const CrackKernel kernel :
+             {CrackKernel::kPredicatedUnrolled, CrackKernel::kSimd}) {
+          for (const bool tandem : {false, true}) {
+            std::vector<T> got = base;
+            std::vector<row_id_t> rids(tandem ? n : 0);
+            for (std::size_t i = 0; i < rids.size(); ++i) {
+              rids[i] = static_cast<row_id_t>(i);
+            }
+            const std::size_t split =
+                CrackInTwo<T>(got, std::span<row_id_t>(rids), cut, kernel,
+                              /*min_piece=*/1);
+            const std::string where = std::string(CrackKernelName(kernel)) +
+                                      (tandem ? " tandem" : " values") +
+                                      " n=" + std::to_string(n) +
+                                      " cut=" + cut.ToString();
+            ASSERT_EQ(split, want) << where;
+            for (std::size_t i = 0; i < n; ++i) {
+              ASSERT_EQ(cut.Below(got[i]), i < split) << where << " @" << i;
+              if (tandem) {
+                ASSERT_EQ(got[i], base[rids[i]]) << where << " @" << i;
+              }
+            }
+            std::vector<T> a = got, b = base;
+            std::sort(a.begin(), a.end());
+            std::sort(b.begin(), b.end());
+            ASSERT_EQ(a, b) << where << ": multiset changed";
+          }
+        }
       }
     }
   }
@@ -551,17 +598,19 @@ TEST(CrackKernelNamingTest, DisplayNameDistinguishesKernelVariants) {
   // Non-cracking strategies keep their plain names under any kernel —
   // including the sort-only hybrid, whose segments never invoke a kernel.
   StrategyConfig scan = StrategyConfig::FullScan();
-  scan.crack_kernel = CrackKernel::kPredicated;
+  scan.crack_kernel = CrackKernel::kPredicatedUnrolled;
   EXPECT_EQ(scan.DisplayName(), "scan");
   StrategyConfig hss = StrategyConfig::Hybrid(OrganizeMode::kSort, OrganizeMode::kSort);
-  hss.crack_kernel = CrackKernel::kPredicated;
+  hss.crack_kernel = CrackKernel::kSimd;
   EXPECT_EQ(hss.DisplayName(), "HSS");
 
   StrategyConfig crack = StrategyConfig::Crack();
-  crack.crack_kernel = CrackKernel::kPredicated;
-  EXPECT_EQ(crack.DisplayName(), "crack+pred");
+  crack.crack_kernel = CrackKernel::kBranchy;
+  EXPECT_EQ(crack.DisplayName(), "crack+branchy");
   crack.crack_kernel = CrackKernel::kPredicatedUnrolled;
   EXPECT_EQ(crack.DisplayName(), "crack+vec");
+  crack.crack_kernel = CrackKernel::kSimd;
+  EXPECT_EQ(crack.DisplayName(), "crack+simd");
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include "exec/access_path.h"
 #include "exec/operators.h"
 #include "index/scan.h"
+#include "strategy_config_printer.h"
 #include "util/rng.h"
 
 namespace aidx {
@@ -50,11 +51,6 @@ TEST_P(AccessPathStrategyTest, AgreesWithScanOracle) {
   }
 }
 
-// gtest names each instance after the raw bytes of its StrategyConfig,
-// padding included. Static storage is zero-filled before these
-// initializers run, so the padding (and with it every test name) is the
-// same on every run; temporaries passed to ::testing::Values would leave
-// stack garbage there.
 const StrategyConfig kAccessPathStrategies[] = {
     StrategyConfig::FullScan(),
     StrategyConfig::FullSort(),
@@ -102,14 +98,18 @@ TEST(DatabaseTest, EndToEndCountAcrossStrategies) {
        {StrategyConfig::FullScan(), StrategyConfig::Crack(),
         StrategyConfig::AdaptiveMerge(512),
         StrategyConfig::Hybrid(OrganizeMode::kCrack, OrganizeMode::kSort, 512)}) {
-    auto count = db.Count("orders", "amount", p, config);
+    auto count = db.Count(
+        {.table = "orders", .column = "amount", .predicate = p, .strategy = config});
     ASSERT_TRUE(count.ok()) << config.DisplayName();
     EXPECT_EQ(*count, expect) << config.DisplayName();
   }
   // One cached path per strategy.
   EXPECT_EQ(db.num_cached_paths(), 4u);
   // Repeat queries hit the cached adaptive structure.
-  ASSERT_TRUE(db.Count("orders", "amount", p, StrategyConfig::Crack()).ok());
+  ASSERT_TRUE(db.Count({.table = "orders",
+                        .column = "amount",
+                        .predicate = p,
+                        .strategy = StrategyConfig::Crack()}).ok());
   EXPECT_EQ(db.num_cached_paths(), 4u);
 }
 
@@ -119,7 +119,8 @@ TEST(DatabaseTest, SumMatchesOracle) {
   const auto values = RandomValues(2000, 500, 54);
   ASSERT_TRUE(db.AddColumn("t", "v", std::vector<std::int64_t>(values)).ok());
   const auto p = Pred::Between(100, 400);
-  auto sum = db.Sum("t", "v", p, StrategyConfig::Crack());
+  auto sum = db.Sum(
+      {.table = "t", .column = "v", .predicate = p, .strategy = StrategyConfig::Crack()});
   ASSERT_TRUE(sum.ok());
   EXPECT_DOUBLE_EQ(*sum, static_cast<double>(ScanSum<std::int64_t>(values, p)));
 }
@@ -140,7 +141,10 @@ TEST(DatabaseTest, SelectProjectViaSideways) {
   ASSERT_TRUE(db.AddColumn("lineitem", "qty", std::move(qty)).ok());
 
   const auto p = Pred::Between(100, 200);
-  auto res = db.SelectProject("lineitem", "shipdate", p, {"price", "qty"});
+  auto res = db.SelectProject({.table = "lineitem",
+                               .column = "shipdate",
+                               .predicate = p,
+                               .tails = {"price", "qty"}});
   ASSERT_TRUE(res.ok());
   EXPECT_EQ(res->num_rows, ScanCount<std::int64_t>(keys, p));
   for (std::size_t i = 0; i < res->num_rows; ++i) {
@@ -157,13 +161,22 @@ TEST(DatabaseTest, ErrorPaths) {
   EXPECT_TRUE(db.AddColumn("ghost", "v", {1}).IsNotFound());
   ASSERT_TRUE(db.AddColumn("t", "v", {1, 2, 3}).ok());
   EXPECT_TRUE(db.AddColumn("t", "v", {1, 2, 3}).IsAlreadyExists());
-  EXPECT_TRUE(db.Count("ghost", "v", Pred::Between(1, 2), StrategyConfig::Crack())
+  EXPECT_TRUE(db.Count({.table = "ghost",
+                        .column = "v",
+                        .predicate = Pred::Between(1, 2),
+                        .strategy = StrategyConfig::Crack()})
                   .status()
                   .IsNotFound());
-  EXPECT_TRUE(db.Count("t", "ghost", Pred::Between(1, 2), StrategyConfig::Crack())
+  EXPECT_TRUE(db.Count({.table = "t",
+                        .column = "ghost",
+                        .predicate = Pred::Between(1, 2),
+                        .strategy = StrategyConfig::Crack()})
                   .status()
                   .IsNotFound());
-  EXPECT_TRUE(db.SelectProject("t", "v", Pred::Between(1, 2), {"ghost"})
+  EXPECT_TRUE(db.SelectProject({.table = "t",
+                                .column = "v",
+                                .predicate = Pred::Between(1, 2),
+                                .tails = {"ghost"}})
                   .status()
                   .IsNotFound());
 }
@@ -172,12 +185,18 @@ TEST(DatabaseTest, ResetAdaptiveStateDropsCaches) {
   Database db;
   ASSERT_TRUE(db.CreateTable("t").ok());
   ASSERT_TRUE(db.AddColumn("t", "v", RandomValues(500, 100, 56)).ok());
-  ASSERT_TRUE(db.Count("t", "v", Pred::Between(1, 50), StrategyConfig::Crack()).ok());
+  ASSERT_TRUE(db.Count({.table = "t",
+                        .column = "v",
+                        .predicate = Pred::Between(1, 50),
+                        .strategy = StrategyConfig::Crack()}).ok());
   EXPECT_EQ(db.num_cached_paths(), 1u);
   db.ResetAdaptiveState();
   EXPECT_EQ(db.num_cached_paths(), 0u);
   // Still answers after reset (fresh adaptive state).
-  auto count = db.Count("t", "v", Pred::Between(1, 50), StrategyConfig::Crack());
+  auto count = db.Count({.table = "t",
+                         .column = "v",
+                         .predicate = Pred::Between(1, 50),
+                         .strategy = StrategyConfig::Crack()});
   ASSERT_TRUE(count.ok());
 }
 
@@ -190,17 +209,30 @@ TEST(DatabaseTest, StructuralCacheKeyDistinguishesKnobs) {
   ASSERT_TRUE(db.CreateTable("t").ok());
   ASSERT_TRUE(db.AddColumn("t", "v", RandomValues(4000, 1000, 57)).ok());
   const auto p = Pred::Between(100, 500);
-  ASSERT_TRUE(db.Count("t", "v", p, StrategyConfig::AdaptiveMerge(512)).ok());
-  ASSERT_TRUE(db.Count("t", "v", p, StrategyConfig::AdaptiveMerge(2048)).ok());
+  ASSERT_TRUE(db.Count({.table = "t",
+                        .column = "v",
+                        .predicate = p,
+                        .strategy = StrategyConfig::AdaptiveMerge(512)}).ok());
+  ASSERT_TRUE(db.Count({.table = "t",
+                        .column = "v",
+                        .predicate = p,
+                        .strategy = StrategyConfig::AdaptiveMerge(2048)}).ok());
   EXPECT_EQ(db.num_cached_paths(), 2u);
   // Same for crack configs differing only in merge policy.
   StrategyConfig mci = StrategyConfig::Crack();
   mci.merge_policy = MergePolicy::kComplete;
-  ASSERT_TRUE(db.Count("t", "v", p, StrategyConfig::Crack()).ok());
-  ASSERT_TRUE(db.Count("t", "v", p, mci).ok());
+  ASSERT_TRUE(db.Count({.table = "t",
+                        .column = "v",
+                        .predicate = p,
+                        .strategy = StrategyConfig::Crack()}).ok());
+  ASSERT_TRUE(db.Count(
+      {.table = "t", .column = "v", .predicate = p, .strategy = mci}).ok());
   EXPECT_EQ(db.num_cached_paths(), 4u);
   // Identical configs still share one structure.
-  ASSERT_TRUE(db.Count("t", "v", p, StrategyConfig::AdaptiveMerge(512)).ok());
+  ASSERT_TRUE(db.Count({.table = "t",
+                        .column = "v",
+                        .predicate = p,
+                        .strategy = StrategyConfig::AdaptiveMerge(512)}).ok());
   EXPECT_EQ(db.num_cached_paths(), 4u);
 }
 
@@ -211,24 +243,28 @@ TEST(DatabaseTest, CacheAndDisplayNameDistinguishKernelVariants) {
   ASSERT_TRUE(db.CreateTable("t").ok());
   ASSERT_TRUE(db.AddColumn("t", "v", RandomValues(4000, 1000, 60)).ok());
   const auto p = Pred::Between(100, 500);
-  const auto expect = db.Count("t", "v", p, StrategyConfig::FullScan());
+  const auto expect = db.Count({.table = "t",
+                                .column = "v",
+                                .predicate = p,
+                                .strategy = StrategyConfig::FullScan()});
   ASSERT_TRUE(expect.ok());
   std::size_t paths = db.num_cached_paths();
   for (const CrackKernel kernel :
-       {CrackKernel::kBranchy, CrackKernel::kPredicated,
-        CrackKernel::kPredicatedUnrolled}) {
+       {CrackKernel::kBranchy, CrackKernel::kPredicatedUnrolled,
+        CrackKernel::kSimd}) {
     StrategyConfig config = StrategyConfig::Crack();
     config.crack_kernel = kernel;
-    auto count = db.Count("t", "v", p, config);
+    auto count = db.Count(
+        {.table = "t", .column = "v", .predicate = p, .strategy = config});
     ASSERT_TRUE(count.ok()) << config.DisplayName();
     EXPECT_EQ(*count, *expect) << config.DisplayName();
     EXPECT_EQ(db.num_cached_paths(), ++paths)
         << config.DisplayName() << " aliased an existing kernel variant";
   }
   EXPECT_EQ(StrategyConfig::Crack().DisplayName(), "crack");
-  StrategyConfig pred_config = StrategyConfig::Crack();
-  pred_config.crack_kernel = CrackKernel::kPredicated;
-  EXPECT_EQ(pred_config.DisplayName(), "crack+pred");
+  StrategyConfig vec_config = StrategyConfig::Crack();
+  vec_config.crack_kernel = CrackKernel::kPredicatedUnrolled;
+  EXPECT_EQ(vec_config.DisplayName(), "crack+vec");
 }
 
 TEST(DatabaseTest, InsertAndDeleteKeepEveryCachedPathConsistent) {
@@ -250,12 +286,13 @@ TEST(DatabaseTest, InsertAndDeleteKeepEveryCachedPathConsistent) {
   const auto p = Pred::Between(200, 600);
   // Warm every path, then write through the facade.
   for (const auto& config : configs) {
-    ASSERT_TRUE(db.Count("t", "v", p, config).ok());
+    ASSERT_TRUE(db.Count(
+        {.table = "t", .column = "v", .predicate = p, .strategy = config}).ok());
   }
   Rng rng(59);
   for (int i = 0; i < 50; ++i) {
     const auto v = static_cast<std::int64_t>(rng.NextBounded(1000));
-    ASSERT_TRUE(db.Insert("t", "v", v).ok());
+    ASSERT_TRUE(db.Insert("t", {v}).ok());
     values.push_back(v);
   }
   for (int i = 0; i < 20; ++i) {
@@ -267,12 +304,16 @@ TEST(DatabaseTest, InsertAndDeleteKeepEveryCachedPathConsistent) {
   }
   const std::size_t expect = ScanCount<std::int64_t>(values, p);
   for (const auto& config : configs) {
-    auto count = db.Count("t", "v", p, config);
+    auto count = db.Count(
+        {.table = "t", .column = "v", .predicate = p, .strategy = config});
     ASSERT_TRUE(count.ok()) << config.DisplayName();
     EXPECT_EQ(*count, expect) << config.DisplayName();
   }
   // A path created only now (fresh strategy) sees the mutated base.
-  auto fresh = db.Count("t", "v", p, StrategyConfig::AdaptiveMerge(512));
+  auto fresh = db.Count({.table = "t",
+                         .column = "v",
+                         .predicate = p,
+                         .strategy = StrategyConfig::AdaptiveMerge(512)});
   ASSERT_TRUE(fresh.ok());
   EXPECT_EQ(*fresh, expect);
   // The catalog's base column mirrors the live multiset.
@@ -285,11 +326,17 @@ TEST(DatabaseTest, DeleteOfAbsentValueIsANoOp) {
   Database db;
   ASSERT_TRUE(db.CreateTable("t").ok());
   ASSERT_TRUE(db.AddColumn("t", "v", {1, 2, 3}).ok());
-  ASSERT_TRUE(db.Count("t", "v", Pred::All(), StrategyConfig::Crack()).ok());
+  ASSERT_TRUE(db.Count({.table = "t",
+                        .column = "v",
+                        .predicate = Pred::All(),
+                        .strategy = StrategyConfig::Crack()}).ok());
   auto deleted = db.Delete("t", "v", 99);
   ASSERT_TRUE(deleted.ok());
   EXPECT_FALSE(*deleted);
-  auto count = db.Count("t", "v", Pred::All(), StrategyConfig::Crack());
+  auto count = db.Count({.table = "t",
+                         .column = "v",
+                         .predicate = Pred::All(),
+                         .strategy = StrategyConfig::Crack()});
   ASSERT_TRUE(count.ok());
   EXPECT_EQ(*count, 3u);
   EXPECT_TRUE(db.Delete("ghost", "v", 1).status().IsNotFound());
@@ -301,11 +348,15 @@ TEST(DatabaseTest, InsertBatchMatchesScalarInserts) {
   auto values = RandomValues(500, 100, 60);
   ASSERT_TRUE(db.AddColumn("t", "v", std::vector<std::int64_t>(values)).ok());
   const auto p = Pred::Between(10, 90);
-  ASSERT_TRUE(db.Count("t", "v", p, StrategyConfig::Crack()).ok());
+  ASSERT_TRUE(db.Count({.table = "t",
+                        .column = "v",
+                        .predicate = p,
+                        .strategy = StrategyConfig::Crack()}).ok());
   const std::vector<std::int64_t> batch = {5, 50, 95, 50};
-  ASSERT_TRUE(db.InsertBatch("t", "v", batch).ok());
+  ASSERT_TRUE(db.InsertBatch("t", batch).ok());
   values.insert(values.end(), batch.begin(), batch.end());
-  auto count = db.Count("t", "v", p, StrategyConfig::Crack());
+  auto count = db.Count(
+      {.table = "t", .column = "v", .predicate = p, .strategy = StrategyConfig::Crack()});
   ASSERT_TRUE(count.ok());
   EXPECT_EQ(*count, ScanCount<std::int64_t>(values, p));
 }
@@ -319,12 +370,14 @@ TEST(DatabaseTest, SidewaysMaintainedIncrementallyAcrossWrites) {
   ASSERT_TRUE(db.AddColumn("t", "k", {10, 20, 30}).ok());
   ASSERT_TRUE(db.AddColumn("t", "a", {1, 2, 3}).ok());
   const auto p = Pred::Between(10, 30);
-  auto before = db.SelectProject("t", "k", p, {"a"});
+  auto before = db.SelectProject(
+      {.table = "t", .column = "k", .predicate = p, .tails = {"a"}});
   ASSERT_TRUE(before.ok());
   EXPECT_EQ(before->num_rows, 3u);
   // Row-atomic writes: one value per column, column_names() order (k, a).
   ASSERT_TRUE(db.Insert("t", {25, 9}).ok());
-  auto after = db.SelectProject("t", "k", p, {"a"});
+  auto after = db.SelectProject(
+      {.table = "t", .column = "k", .predicate = p, .tails = {"a"}});
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(after->num_rows, 4u);
   // The cracker (and its map) survived the write instead of rebuilding.
@@ -332,18 +385,80 @@ TEST(DatabaseTest, SidewaysMaintainedIncrementallyAcrossWrites) {
   ASSERT_TRUE(state.ok());
   EXPECT_EQ((*state)->stats().maps_created, 1u);
   EXPECT_EQ((*state)->stats().dml_inserts, 1u);
-  // Column-addressed writes on a multi-column table are rejected — they
-  // would desynchronize rows (the old footgun this API closed).
-  EXPECT_TRUE(db.Insert("t", "k", 15).IsInvalidArgument());
-  EXPECT_TRUE(db.InsertBatch("t", "k", std::vector<std::int64_t>{1, 2})
-                  .IsInvalidArgument());
   // Row-atomic delete removes the first row whose key column matches.
   auto deleted = db.Delete("t", "k", 25);
   ASSERT_TRUE(deleted.ok());
   EXPECT_TRUE(*deleted);
-  auto final_res = db.SelectProject("t", "k", p, {"a"});
+  auto final_res = db.SelectProject(
+      {.table = "t", .column = "k", .predicate = p, .tails = {"a"}});
   ASSERT_TRUE(final_res.ok());
   EXPECT_EQ(final_res->num_rows, 3u);
+}
+
+// Table and column names may contain '.', so the sideways cache must not
+// key on a joined "table.head" string: table "a" with head "b.x" and table
+// "a.b" with head "x" would share the key "a.b.x".
+void BuildDottedTables(Database* db) {
+  ASSERT_TRUE(db->CreateTable("a").ok());
+  ASSERT_TRUE(db->AddColumn("a", "b.x", {1, 2, 3}).ok());
+  ASSERT_TRUE(db->AddColumn("a", "y", {10, 20, 30}).ok());
+  ASSERT_TRUE(db->CreateTable("a.b").ok());
+  ASSERT_TRUE(db->AddColumn("a.b", "x", {1, 2, 3, 4}).ok());
+  ASSERT_TRUE(db->AddColumn("a.b", "z", {7, 8, 9, 10}).ok());
+}
+
+TEST(DatabaseTest, SidewaysCacheSeparatesDottedTableAndHeadNames) {
+  Database db;
+  BuildDottedTables(&db);
+  auto on_a = db.SelectProject(
+      {.table = "a", .column = "b.x", .predicate = Pred::All(), .tails = {"y"}});
+  ASSERT_TRUE(on_a.ok()) << on_a.status().ToString();
+  EXPECT_EQ(on_a->num_rows, 3u);
+  auto on_ab = db.SelectProject(
+      {.table = "a.b", .column = "x", .predicate = Pred::All(), .tails = {"z"}});
+  ASSERT_TRUE(on_ab.ok()) << on_ab.status().ToString();
+  EXPECT_EQ(on_ab->num_rows, 4u);
+  EXPECT_EQ(db.num_cached_sideways(), 2u);
+}
+
+TEST(DatabaseTest, RowDmlTouchesOnlyItsOwnTablesSideways) {
+  Database db;
+  ASSERT_TRUE(db.CreateTable("a").ok());
+  ASSERT_TRUE(db.AddColumn("a", "v", {1, 2, 3}).ok());
+  ASSERT_TRUE(db.CreateTable("a.b").ok());
+  ASSERT_TRUE(db.AddColumn("a.b", "x", {1, 2, 3}).ok());
+  ASSERT_TRUE(db.AddColumn("a.b", "z", {4, 5, 6}).ok());
+  ASSERT_TRUE(db.SelectProject({.table = "a.b",
+                                .column = "x",
+                                .predicate = Pred::All(),
+                                .tails = {"z"}})
+                  .ok());
+  // Table "a" has no sideways cracker; "a.b"'s must neither be fed the row
+  // nor be looked up in "a"'s schema.
+  ASSERT_TRUE(db.Insert("a", {5}).ok());
+  auto state = db.SidewaysState("a.b", "x");
+  ASSERT_TRUE(state.ok());
+  EXPECT_EQ((*state)->stats().dml_inserts, 0u);
+  auto count = db.Count({.table = "a",
+                         .column = "v",
+                         .predicate = Pred::All(),
+                         .strategy = StrategyConfig::Crack()});
+  ASSERT_TRUE(count.ok());
+  EXPECT_EQ(*count, 4u);
+}
+
+TEST(DatabaseTest, AddColumnDropsOnlyItsOwnTablesSideways) {
+  Database db;
+  BuildDottedTables(&db);
+  ASSERT_TRUE(db.SelectProject({.table = "a.b",
+                                .column = "x",
+                                .predicate = Pred::All(),
+                                .tails = {"z"}})
+                  .ok());
+  ASSERT_EQ(db.num_cached_sideways(), 1u);
+  ASSERT_TRUE(db.AddColumn("a", "w", {0, 0, 0}).ok());
+  EXPECT_EQ(db.num_cached_sideways(), 1u);
+  EXPECT_TRUE(db.SidewaysState("a.b", "x").ok());
 }
 
 TEST(OperatorsTest, GatherAndPermutation) {

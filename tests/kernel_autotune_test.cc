@@ -75,8 +75,8 @@ TEST(KernelAutotuneTest, SweepPicksAConcreteMeasuredKernel) {
 TEST(KernelAutotuneTest, ResolveIsIdentityForConcreteKernels) {
   SetCalibrationEnabled(false);
   for (const CrackKernel kernel :
-       {CrackKernel::kBranchy, CrackKernel::kPredicated,
-        CrackKernel::kPredicatedUnrolled, CrackKernel::kSimd}) {
+       {CrackKernel::kBranchy, CrackKernel::kPredicatedUnrolled,
+        CrackKernel::kSimd}) {
     EXPECT_EQ(ResolveCrackKernel(kernel, 4), kernel);
     EXPECT_EQ(ResolveCrackKernel(kernel, 8), kernel);
   }
@@ -95,8 +95,8 @@ TEST(KernelAutotuneTest, MinPieceFallbackIsBranchyElementForElement) {
     const std::size_t want =
         CrackInTwo<std::int32_t>(oracle, {}, cut, CrackKernel::kBranchy);
     for (const CrackKernel kernel :
-         {CrackKernel::kPredicated, CrackKernel::kPredicatedUnrolled,
-          CrackKernel::kSimd, CrackKernel::kAuto}) {
+         {CrackKernel::kPredicatedUnrolled, CrackKernel::kSimd,
+          CrackKernel::kAuto}) {
       std::vector<std::int32_t> got = base;
       // min_piece = 0 defers to DefaultCrackMinPiece() — the fallback
       // threshold with calibration off.

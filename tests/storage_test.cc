@@ -307,8 +307,10 @@ TEST(TableTombstoneTest, DatabaseStatsCountLiveRows) {
   auto deleted = db.Delete("t", "k", 3);  // already gone
   ASSERT_TRUE(deleted.ok());
   EXPECT_FALSE(*deleted);
-  auto count = db.Count("t", "v", RangePredicate<std::int64_t>::All(),
-                        StrategyConfig::FullScan());
+  auto count = db.Count({.table = "t",
+                         .column = "v",
+                         .predicate = RangePredicate<std::int64_t>::All(),
+                         .strategy = StrategyConfig::FullScan()});
   ASSERT_TRUE(count.ok());
   EXPECT_EQ(*count, 195u);
 }

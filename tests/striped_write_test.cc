@@ -12,8 +12,7 @@
 //  - write accounting: striped enqueues land in AggregatedUpdateStats with
 //    the same queued/merged totals as the coarse path;
 //  - adaptive stripe growth: the active stripe count starts small, grows
-//    only with realized cuts, never passes the allocated capacity, and
-//    pins to the capacity when adaptive_stripes is off.
+//    only with realized cuts, and never passes the allocated capacity.
 //
 // Runs under ThreadSanitizer via the `concurrency` ctest label
 // (scripts/check.sh --tsan).
@@ -427,12 +426,6 @@ TEST(StripedWriteTest, AdaptiveStripesGrowWithRealizedCuts) {
     grown = std::max(grown, col.active_stripes(p));
   }
   EXPECT_GT(grown, 4u) << "hundreds of cracks must grow the active table";
-
-  // With adaptation off, the full capacity is active from the start.
-  options.adaptive_stripes = false;
-  PartitionedCrackerColumn<std::int64_t> fixed(base, options);
-  EXPECT_EQ(fixed.active_stripes(0), 64u);
-  EXPECT_EQ(fixed.active_stripes(1), 64u);
 }
 
 TEST(StripedWriteTest, DisplayNamesExposeWriteKnobs) {
@@ -441,9 +434,6 @@ TEST(StripedWriteTest, DisplayNamesExposeWriteKnobs) {
   config.write_mode = WriteMode::kCoarseWrite;
   EXPECT_EQ(config.DisplayName(), "pcrack(8x4-wc)");
   config.write_mode = WriteMode::kStripedWrite;
-  config.adaptive_stripes = false;
-  EXPECT_EQ(config.DisplayName(), "pcrack(8x4-fs)");
-  config.adaptive_stripes = true;
   config.background_merge_threshold = 64;
   EXPECT_EQ(config.DisplayName(), "pcrack(8x4-bg64)");
   // Knob variants must be distinct configs (the Database caches on this).

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "exec/engine.h"
+#include "strategy_config_printer.h"
 #include "util/failpoint.h"
 #include "util/logging.h"
 #include "util/rng.h"
@@ -176,7 +177,8 @@ TEST_P(TableDmlDifferentialTest, MixedWorkloadMatchesRowOracle) {
       case 3: {  // range count through the strategy's path, random column
         const std::size_t col = rng.NextBounded(3);
         const Pred p = RandomPredicate(&rng);
-        auto count = db.Count("t", kColumns[col], p, config);
+        auto count = db.Count(
+            {.table = "t", .column = kColumns[col], .predicate = p, .strategy = config});
         ASSERT_TRUE(count.ok()) << "op " << op;
         ASSERT_EQ(*count, OracleCount(oracle, col, p))
             << config.DisplayName() << " op " << op << " col " << kColumns[col]
@@ -186,7 +188,8 @@ TEST_P(TableDmlDifferentialTest, MixedWorkloadMatchesRowOracle) {
       case 4: {  // sum
         const std::size_t col = rng.NextBounded(3);
         const Pred p = RandomPredicate(&rng);
-        auto sum = db.Sum("t", kColumns[col], p, config);
+        auto sum = db.Sum(
+            {.table = "t", .column = kColumns[col], .predicate = p, .strategy = config});
         ASSERT_TRUE(sum.ok()) << "op " << op;
         ASSERT_DOUBLE_EQ(*sum, OracleSum(oracle, col, p))
             << config.DisplayName() << " op " << op << " col " << kColumns[col];
@@ -194,7 +197,8 @@ TEST_P(TableDmlDifferentialTest, MixedWorkloadMatchesRowOracle) {
       }
       default: {  // select-project through sideways maps
         const Pred p = RandomPredicate(&rng);
-        auto r = db.SelectProject("t", "a", p, {"b", "c"});
+        auto r = db.SelectProject(
+            {.table = "t", .column = "a", .predicate = p, .tails = {"b", "c"}});
         ASSERT_TRUE(r.ok()) << "op " << op;
         ASSERT_EQ(SortedPairs(*r), OracleProject(oracle, p))
             << config.DisplayName() << " op " << op << " " << p.ToString();
@@ -204,7 +208,10 @@ TEST_P(TableDmlDifferentialTest, MixedWorkloadMatchesRowOracle) {
   }
   // Full-table materialization: every column agrees with the oracle bag.
   for (std::size_t col = 0; col < 3; ++col) {
-    auto count = db.Count("t", kColumns[col], Pred::All(), config);
+    auto count = db.Count({.table = "t",
+                           .column = kColumns[col],
+                           .predicate = Pred::All(),
+                           .strategy = config});
     ASSERT_TRUE(count.ok());
     EXPECT_EQ(*count, oracle.size()) << kColumns[col];
   }
@@ -240,7 +247,8 @@ TEST_P(TableDmlDifferentialTest, DeleteHeavyMixCrossesCompactionThreshold) {
   const auto check_projection = [&](std::size_t which, const Pred& p,
                                     int op) {
     const auto& [head, tails] = projections[which];
-    auto r = db.SelectProject("t", kColumns[head], p, tails);
+    auto r = db.SelectProject(
+        {.table = "t", .column = kColumns[head], .predicate = p, .tails = tails});
     ASSERT_TRUE(r.ok()) << "op " << op;
     std::vector<std::int64_t> got = r->columns[0];
     std::vector<std::int64_t> want;
@@ -266,7 +274,8 @@ TEST_P(TableDmlDifferentialTest, DeleteHeavyMixCrossesCompactionThreshold) {
       configs.push_back(fresh);
       for (std::size_t col = 0; col < 3; ++col) {
         const Pred p = narrow_pred();
-        auto count = db.Count("t", kColumns[col], p, fresh);
+        auto count = db.Count(
+            {.table = "t", .column = kColumns[col], .predicate = p, .strategy = fresh});
         ASSERT_TRUE(count.ok()) << "op " << op;
         ASSERT_EQ(*count, OracleCount(oracle, col, p)) << "op " << op;
       }
@@ -294,11 +303,13 @@ TEST_P(TableDmlDifferentialTest, DeleteHeavyMixCrossesCompactionThreshold) {
       const std::size_t col = rng.NextBounded(3);
       const StrategyConfig& config = configs[rng.NextBounded(configs.size())];
       const Pred p = narrow_pred();
-      auto count = db.Count("t", kColumns[col], p, config);
+      auto count = db.Count(
+          {.table = "t", .column = kColumns[col], .predicate = p, .strategy = config});
       ASSERT_TRUE(count.ok()) << "op " << op;
       ASSERT_EQ(*count, OracleCount(oracle, col, p))
           << config.DisplayName() << " op " << op << " col " << kColumns[col];
-      auto sum = db.Sum("t", kColumns[col], p, config);
+      auto sum = db.Sum(
+          {.table = "t", .column = kColumns[col], .predicate = p, .strategy = config});
       ASSERT_TRUE(sum.ok()) << "op " << op;
       ASSERT_DOUBLE_EQ(*sum, OracleSum(oracle, col, p)) << "op " << op;
     } else {
@@ -313,7 +324,10 @@ TEST_P(TableDmlDifferentialTest, DeleteHeavyMixCrossesCompactionThreshold) {
   }
   for (const StrategyConfig& config : configs) {
     for (std::size_t col = 0; col < 3; ++col) {
-      auto count = db.Count("t", kColumns[col], Pred::All(), config);
+      auto count = db.Count({.table = "t",
+                             .column = kColumns[col],
+                             .predicate = Pred::All(),
+                             .strategy = config});
       ASSERT_TRUE(count.ok());
       EXPECT_EQ(*count, oracle.size()) << config.DisplayName() << " " << kColumns[col];
     }
@@ -339,26 +353,12 @@ TEST(TableDmlContractTest, RowWidthIsValidatedBeforeAnyMutation) {
   EXPECT_TRUE(
       db.InsertBatch("t", std::vector<std::int64_t>{1, 2, 3, 4})
           .IsInvalidArgument());
-  auto count = db.Count("t", "a", Pred::All(), StrategyConfig::FullScan());
+  auto count = db.Count({.table = "t",
+                         .column = "a",
+                         .predicate = Pred::All(),
+                         .strategy = StrategyConfig::FullScan()});
   ASSERT_TRUE(count.ok());
   EXPECT_EQ(*count, 100u);  // nothing applied
-}
-
-TEST(TableDmlContractTest, ColumnAddressedDmlRejectedOnMultiColumnTables) {
-  Database db;
-  BuildTable(&db, RandomRows(50, 8));
-  EXPECT_TRUE(db.Insert("t", "a", 1).IsInvalidArgument());
-  EXPECT_TRUE(db.InsertBatch("t", "a", std::vector<std::int64_t>{1, 2})
-                  .IsInvalidArgument());
-  // Single-column tables keep the historical surface.
-  ASSERT_TRUE(db.CreateTable("narrow").ok());
-  ASSERT_TRUE(db.AddColumn("narrow", "v", {1, 2, 3}).ok());
-  EXPECT_TRUE(db.Insert("narrow", "v", 4).ok());
-  EXPECT_TRUE(
-      db.InsertBatch("narrow", "v", std::vector<std::int64_t>{5, 6}).ok());
-  auto count = db.Count("narrow", "v", Pred::All(), StrategyConfig::Crack());
-  ASSERT_TRUE(count.ok());
-  EXPECT_EQ(*count, 6u);
 }
 
 // The partial-failure contract, witnessed by fault injection: a column
@@ -370,10 +370,17 @@ TEST(TableDmlContractTest, FailedDmlLeavesNoTornRows) {
   BuildTable(&db, oracle);
   // Warm paths and sideways maps so the fault would hit cached structures.
   const Pred warm = Pred::Between(100, 400);
-  ASSERT_TRUE(db.Count("t", "b", warm, StrategyConfig::Crack()).ok());
-  ASSERT_TRUE(db.SelectProject("t", "a", warm, {"b", "c"}).ok());
+  ASSERT_TRUE(db.Count({.table = "t",
+                        .column = "b",
+                        .predicate = warm,
+                        .strategy = StrategyConfig::Crack()}).ok());
+  ASSERT_TRUE(db.SelectProject(
+      {.table = "t", .column = "a", .predicate = warm, .tails = {"b", "c"}}).ok());
   const auto snapshot = [&](std::size_t col) {
-    auto sum = db.Sum("t", kColumns[col], Pred::All(), StrategyConfig::Crack());
+    auto sum = db.Sum({.table = "t",
+                       .column = kColumns[col],
+                       .predicate = Pred::All(),
+                       .strategy = StrategyConfig::Crack()});
     AIDX_CHECK_OK(sum.status());
     return *sum;
   };
@@ -401,7 +408,10 @@ TEST(TableDmlContractTest, FailedDmlLeavesNoTornRows) {
 
   // No torn rows: row count, per-column sums, sideways log, and query
   // results are exactly what they were before the faulting calls.
-  auto count = db.Count("t", "a", Pred::All(), StrategyConfig::Crack());
+  auto count = db.Count({.table = "t",
+                         .column = "a",
+                         .predicate = Pred::All(),
+                         .strategy = StrategyConfig::Crack()});
   ASSERT_TRUE(count.ok());
   EXPECT_EQ(*count, oracle.size());
   for (std::size_t col = 0; col < 3; ++col) {
@@ -410,12 +420,16 @@ TEST(TableDmlContractTest, FailedDmlLeavesNoTornRows) {
   state = db.SidewaysState("t", "a");
   ASSERT_TRUE(state.ok());
   EXPECT_EQ((*state)->stats().dml_inserts, dml_before);
-  auto r = db.SelectProject("t", "a", warm, {"b", "c"});
+  auto r = db.SelectProject(
+      {.table = "t", .column = "a", .predicate = warm, .tails = {"b", "c"}});
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(SortedPairs(*r), OracleProject(oracle, warm));
   // With the failpoint disarmed the same row applies cleanly.
   EXPECT_TRUE(db.Insert("t", {1, 2, 3}).ok());
-  count = db.Count("t", "a", Pred::All(), StrategyConfig::Crack());
+  count = db.Count({.table = "t",
+                    .column = "a",
+                    .predicate = Pred::All(),
+                    .strategy = StrategyConfig::Crack()});
   ASSERT_TRUE(count.ok());
   EXPECT_EQ(*count, oracle.size() + 1);
 }
@@ -435,7 +449,10 @@ TEST(SidewaysSurvivalTest, MapsMaintainedIncrementallyAcrossWriteBursts) {
   Rng rng(19);
   // Warm both maps; remember the cracked state.
   for (int q = 0; q < 8; ++q) {
-    ASSERT_TRUE(db.SelectProject("t", "a", RandomPredicate(&rng), {"b", "c"}).ok());
+    ASSERT_TRUE(db.SelectProject({.table = "t",
+                                  .column = "a",
+                                  .predicate = RandomPredicate(&rng),
+                                  .tails = {"b", "c"}}).ok());
   }
   auto state = db.SidewaysState("t", "a");
   ASSERT_TRUE(state.ok());
@@ -474,8 +491,10 @@ TEST(SidewaysSurvivalTest, MapsMaintainedIncrementallyAcrossWriteBursts) {
     BuildTable(&rebuilt, oracle);
     for (int q = 0; q < 4; ++q) {
       const Pred p = RandomPredicate(&rng);
-      auto inc = db.SelectProject("t", "a", p, {"b", "c"});
-      auto fresh = rebuilt.SelectProject("t", "a", p, {"b", "c"});
+      auto inc = db.SelectProject(
+          {.table = "t", .column = "a", .predicate = p, .tails = {"b", "c"}});
+      auto fresh = rebuilt.SelectProject(
+          {.table = "t", .column = "a", .predicate = p, .tails = {"b", "c"}});
       ASSERT_TRUE(inc.ok()) << "batch " << batch;
       ASSERT_TRUE(fresh.ok()) << "batch " << batch;
       ASSERT_EQ(inc->num_rows, fresh->num_rows) << "batch " << batch;
