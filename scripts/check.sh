@@ -134,3 +134,23 @@ fi
 cmake -B build -S . "$@"
 cmake --build build -j "$(nproc)"
 ctest --test-dir build --output-on-failure -j "$(nproc)"
+
+# Ratchet on parameterized test names: a name that embeds raw parameter
+# bytes ("N-byte object <..>") changes with the struct's layout and, for
+# pointer members, between builds, which breaks name-based tracking of
+# results. Suites still waiting for a gtest PrintTo are listed here; the
+# list only shrinks, and any other suite with such a name fails the check.
+raw_byte_suites_pending=(
+  Grid/HybridGridTest
+  Matrix/StrategyWorkloadMatrixTest
+  SizesAndDomains/CrackOpsSweepTest
+)
+pending_pattern="$(IFS='|'; echo "${raw_byte_suites_pending[*]}")"
+raw_byte_names="$(ctest --test-dir build -N | grep 'byte object' |
+  grep -Ev ": (${pending_pattern})\." || true)"
+if [[ -n "$raw_byte_names" ]]; then
+  echo "check.sh: test names carry raw parameter bytes; give the parameter" \
+    "type a gtest PrintTo:" >&2
+  echo "$raw_byte_names" >&2
+  exit 1
+fi

@@ -66,21 +66,23 @@ HEADLINE_REQUIREMENTS = {
         ("headline", "failpoint_overhead_pct", "bounded:2"),
     ],
     "e11_parallel_scaling": [
+        # Striped piece latching vs the same partitioned column behind one
+        # big lock (the serialized baseline), same-partition skew, 8 threads.
         ("headline", "striped_qps", "positive"),
-        ("headline", "mutex_qps", "positive"),
-        ("headline", "striped_vs_mutex", "positive"),
+        ("headline", "serialized_qps", "positive"),
+        ("headline", "striped_vs_serialized", "positive"),
         ("headline", "metric", "string"),
         # The latch axis itself must be present: at least one recorded row
-        # per latch mode (see docs/BENCHMARKS.md, e11).
+        # per side (see docs/BENCHMARKS.md, e11).
         ("latch_sweep", "qps", "positive"),
-        # The write-mix axis (striped write path vs partition mutex) and
-        # its own headline: the worst striped-write/mutex ratio at 20%
-        # writes across the thread sweep.
+        # The write-mix axis (striped write path vs serialized) and its own
+        # headline: the worst striped-write/serialized ratio at 20% writes
+        # across the thread sweep.
         ("write_mix_sweep", "ops_per_s", "positive"),
         ("headline", "striped_write_min_ratio", "positive"),
         # The multi-column write-mix axis (every write fans out to all
         # three columns) and its headline: the worst multi-column
-        # striped-write/mutex ratio across the thread sweep.
+        # striped-write/serialized ratio across the thread sweep.
         ("multicol_write_mix", "ops_per_s", "positive"),
         ("headline", "multicol_min_ratio", "positive"),
     ],

@@ -27,7 +27,7 @@
 // not referenced afterwards. All partitions, final-store segments, and the
 // merged-range set are owned by the HybridIndex; exhausted partitions
 // release their storage eagerly. Move-only, not thread-safe — every query
-// is also a write (see exec/serialized_path.h for the latched wrapper).
+// is also a write, so sharing one needs a lock around every call.
 //
 // Usage: construct with an Options naming the initial/final OrganizeMode
 // pair (HCS = {kCrack, kSort}, etc. — StrategyConfig::Hybrid does this for

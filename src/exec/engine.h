@@ -39,11 +39,10 @@
 // (a schema change) still drops a table's cached sideways state.
 //
 // The type is move-only and not thread-safe: callers wanting concurrency
-// wrap paths in SerializedAccessPath (exec/serialized_path.h), shard by
-// column, or use StrategyKind::kParallelCrack, whose access path latches
-// internally at partition granularity (docs/CONCURRENCY.md) — though the
-// Database facade itself (catalog and path cache) must still be
-// externally serialized.
+// hold one lock around each path call, shard by column, or use
+// StrategyKind::kParallelCrack, whose access path latches internally at
+// piece granularity (docs/CONCURRENCY.md) — though the Database facade
+// itself (catalog and path cache) must still be externally serialized.
 //
 // The query surface is a single QueryRequest struct — table, column,
 // predicate, strategy, optional context, projection tails — with one

@@ -12,22 +12,17 @@
 //    structure actually reorganized — individual pieces, coordinated
 //    through a short-duration latch on the cracker index.
 //
-// Two latch protocols are implemented, selected by LatchMode:
-//
-//  - kPartitionMutex: one mutex per partition (the PR-2 baseline). Queries
-//    over disjoint partitions crack concurrently; queries into the same
-//    partition serialize wholesale. Kept as the differential-testing and
-//    benchmarking oracle for the striped mode.
-//  - kStripedPiece (default): the Graefe-style piece protocol. Each
-//    partition carries a fixed table of reader-writer stripe latches over
-//    *position blocks* (a piece's stripe set is the hash of every block its
-//    position range overlaps), a reader-writer `structural` latch, and a
-//    reader-writer latch on the cracker index. A select takes shared
-//    latches on what it only reads and exclusive stripe latches on the
-//    (<= 2, plus stochastic pre-cracks) pieces it cracks, so two selects
-//    into the same partition overlap whenever they crack disjoint pieces.
-//    The full protocol, its acquisition order, and the correctness
-//    argument live in docs/CONCURRENCY.md §4.
+// Each partition runs the Graefe-style piece protocol: a fixed table of
+// reader-writer stripe latches over *position blocks* (a piece's stripe set
+// is the hash of every block its position range overlaps), a reader-writer
+// `structural` latch, and a reader-writer latch on the cracker index. A
+// select takes shared latches on what it only reads and exclusive stripe
+// latches on the (<= 2, plus stochastic pre-cracks) pieces it cracks, so
+// two selects into the same partition overlap whenever they crack disjoint
+// pieces. The full protocol, its acquisition order, and the correctness
+// argument live in docs/CONCURRENCY.md §4. Single-threaded it makes exactly
+// the decisions of K independent UpdatableCrackerColumns, one per
+// partition — the reference semantics tests/partition_oracle.h pins it to.
 //
 // Ownership: a PartitionedCrackerColumn owns its K shards (each an
 // independent UpdatableCrackerColumn plus its latches) and its splitter
@@ -37,25 +32,21 @@
 //
 // Thread safety: Count, Sum, Materialize*, Insert, Delete, InsertBatch,
 // DeleteBatch, AggregatedStats, AggregatedUpdateStats, and ValidatePieces
-// are safe to call from any number of threads concurrently under both
-// latch modes. Select (which returns raw per-partition position ranges) is
-// the exception: positions are only stable while no other thread cracks
-// the same partition, so it is for externally synchronized use — tests,
-// single-threaded tools.
+// are safe to call from any number of threads concurrently. Select (which
+// returns raw per-partition position ranges) is the exception: positions
+// are only stable while no other thread cracks the same partition, so it
+// is for externally synchronized use — tests, single-threaded tools.
 //
 // Writes route to the single partition owning their value (the splitter
-// table is immutable, so routing needs no latch). Under kPartitionMutex —
-// or kStripedPiece with WriteMode::kCoarseWrite — they queue in that
-// partition's UpdatableCrackerColumn under whole-partition exclusion.
-// Under the default striped write mode they instead take `structural`
-// shared, route to the owning *piece* under that piece's exclusive stripe
-// latches (with the same lookup -> latch -> re-validate retry loop the
-// read path uses on piece subdivision), and land in a per-shard table of
-// mutex-guarded write buckets keyed by value hash; a later exclusive hold
-// drains the buckets into the shard's pending stores. Queries whose range
-// overlaps buffered or pending tuples answer exactly from the shared path
-// by overlaying the matching pending tuples, or fall back to the coarse
-// merge path (docs/CONCURRENCY.md §4).
+// table is immutable, so routing needs no latch). There they take
+// `structural` shared, route to the owning *piece* under that piece's
+// exclusive stripe latches (with the same lookup -> latch -> re-validate
+// retry loop the read path uses on piece subdivision), and land in a
+// per-shard table of mutex-guarded write buckets keyed by value hash; a
+// later exclusive hold drains the buckets into the shard's pending stores.
+// Queries whose range overlaps buffered or pending tuples answer exactly
+// from the shared path by overlaying the matching pending tuples, or fall
+// back to the coarse merge path (docs/CONCURRENCY.md §4).
 //
 // A per-shard background-merge mode machine (Normal -> PrepareToMerge ->
 // Merging -> Merged, modeled on the mode-switching hybrid-index design in
@@ -66,7 +57,7 @@
 //
 // Fresh row ids come from one atomic counter so they stay globally unique
 // across partitions; the live tuple count is likewise an atomic,
-// maintained outside any latch (docs/CONCURRENCY.md §3).
+// maintained outside any latch (docs/CONCURRENCY.md §2).
 #pragma once
 
 #include <algorithm>
@@ -99,45 +90,6 @@
 
 namespace aidx {
 
-/// Intra-partition latch protocol of a PartitionedCrackerColumn.
-enum class LatchMode : char {
-  /// One mutex per partition (PR-2 baseline; differential oracle).
-  kPartitionMutex,
-  /// Piece-granularity striped reader-writer latches (docs/CONCURRENCY.md §4).
-  kStripedPiece,
-};
-
-inline const char* LatchModeName(LatchMode mode) {
-  switch (mode) {
-    case LatchMode::kPartitionMutex:
-      return "partition-mutex";
-    case LatchMode::kStripedPiece:
-      return "striped-piece";
-  }
-  return "?";
-}
-
-/// Write-path protocol under kStripedPiece (kPartitionMutex always writes
-/// coarsely).
-enum class WriteMode : char {
-  /// Whole-partition exclusion per write (the PR-5 behavior; differential
-  /// oracle axis for the striped write path).
-  kCoarseWrite,
-  /// Piece-routed writes under `structural` shared + exclusive stripe
-  /// latches, buffered in per-shard write buckets (docs/CONCURRENCY.md §4).
-  kStripedWrite,
-};
-
-inline const char* WriteModeName(WriteMode mode) {
-  switch (mode) {
-    case WriteMode::kCoarseWrite:
-      return "coarse-write";
-    case WriteMode::kStripedWrite:
-      return "striped-write";
-  }
-  return "?";
-}
-
 /// Background-merge state of one shard (SNIPPETS.md mode machine): Normal
 /// until a merge is requested, PrepareToMerge while the merger waits for
 /// in-flight shared-path readers to drain, Merging while pending updates
@@ -169,8 +121,7 @@ inline const char* ShardMergeModeName(ShardMergeMode mode) {
 /// Striped read-path routing counters: how many per-shard reads answered
 /// from the shared fast path (no pending overlap), the shared overlay path
 /// (pending overlap folded into the answer without merging), or the coarse
-/// exclusive path. kStripedPiece only; kPartitionMutex reads count as
-/// coarse.
+/// exclusive path.
 struct StripedReadPathStats {
   std::size_t fast_reads = 0;
   std::size_t overlay_reads = 0;
@@ -203,19 +154,15 @@ struct PartitionedCrackerOptions {
   /// Update-merge policy applied by every partition's update pipeline.
   MergePolicy merge_policy = MergePolicy::kRipple;
   std::size_t gradual_budget = 64;
-  /// Intra-partition latch protocol.
-  LatchMode latch_mode = LatchMode::kStripedPiece;
-  /// Stripe-latch table size per partition under kStripedPiece, clamped to
-  /// [1, 64]. More stripes = fewer false conflicts between disjoint pieces,
-  /// at a few hundred bytes per partition. The table is allocated at this
-  /// size, but each shard's *active* stripe count starts small and doubles
-  /// with its realized cut count up to it.
+  /// Stripe-latch table size per partition, clamped to [1, 64]. More
+  /// stripes = fewer false conflicts between disjoint pieces, at a few
+  /// hundred bytes per partition. The table is allocated at this size, but
+  /// each shard's *active* stripe count starts small and doubles with its
+  /// realized cut count up to it.
   std::size_t latch_stripes = 16;
-  /// Write-path protocol under kStripedPiece (ignored in kPartitionMutex).
-  WriteMode write_mode = WriteMode::kStripedWrite;
   /// Buffered writes per shard that trigger a background merge on the
   /// borrowed pool (0 disables the mode machine; writes then merge on the
-  /// next coarse-path query, the PR-5 behavior).
+  /// next coarse-path query).
   std::size_t background_merge_threshold = 0;
   /// Pending tuples folded per exclusive hold by a background merge; the
   /// latch is released (and readers admitted) between chunks.
@@ -314,37 +261,30 @@ class PartitionedCrackerColumn {
   }
 
   /// Queues an insert in the partition owning `value` and returns the
-  /// globally unique row id assigned to the fresh tuple. Striped write
-  /// mode routes to the owning piece under `structural` shared plus that
-  /// piece's exclusive stripes and buffers in a write bucket; otherwise the
-  /// insert queues under whole-partition exclusion. Either way the tuple
-  /// merges into the cracked array when a later query needs its range —
-  /// the same adaptive bargain as the single-threaded pipeline.
-  /// Thread-safe.
+  /// globally unique row id assigned to the fresh tuple. Routes to the
+  /// owning piece under `structural` shared plus that piece's exclusive
+  /// stripes and buffers in a write bucket; the tuple merges into the
+  /// cracked array when a later query needs its range — the same adaptive
+  /// bargain as the single-threaded pipeline. Thread-safe.
   row_id_t Insert(T value) {
     const row_id_t rid = next_rid_.fetch_add(1, std::memory_order_relaxed);
     Shard& shard = *shards_[PartitionOf(value)];
-    if (UseStripedWrites()) {
-      {
-        const std::shared_lock<std::shared_mutex> structural(shard.structural);
-        StripedEnqueueInsertLocked(shard, value, rid);
-      }
-      MaybeTriggerBackgroundMerge(shard);
-    } else {
-      WithShardExclusive(shard,
-                         [&] { shard.column.InsertWithRid(value, rid); });
+    {
+      const std::shared_lock<std::shared_mutex> structural(shard.structural);
+      StripedEnqueueInsertLocked(shard, value, rid);
     }
+    MaybeTriggerBackgroundMerge(shard);
     live_size_.fetch_add(1, std::memory_order_relaxed);
     return rid;
   }
 
   /// Queues inserts for a batch of values, grouped by owning partition so
-  /// each partition latch is taken once per batch instead of once per
-  /// tuple. Row ids for the whole batch are reserved with one atomic bump
-  /// and assigned in batch order, so the result is indistinguishable from
-  /// the equivalent Insert loop. Latches are taken one at a time in
-  /// ascending partition order — the standard latch protocol, so batch
-  /// writers compose with everything else. Thread-safe.
+  /// each partition's `structural` latch is taken once per batch instead
+  /// of once per tuple. Row ids for the whole batch are reserved with one
+  /// atomic bump and assigned in batch order, so the result is
+  /// indistinguishable from the equivalent Insert loop. Partitions are
+  /// visited one at a time in ascending order, so batch writers compose
+  /// with everything else. Thread-safe.
   void InsertBatch(std::span<const T> batch) {
     if (batch.empty()) return;
     const row_id_t first_rid =
@@ -354,52 +294,36 @@ class PartitionedCrackerColumn {
     for (std::size_t p = 0; p < groups.size(); ++p) {
       if (groups[p].empty()) continue;
       Shard& shard = *shards_[p];
-      if (UseStripedWrites()) {
-        {
-          const std::shared_lock<std::shared_mutex> structural(shard.structural);
-          for (const std::size_t i : groups[p]) {
-            StripedEnqueueInsertLocked(shard, batch[i],
-                                       first_rid + static_cast<row_id_t>(i));
-          }
+      {
+        const std::shared_lock<std::shared_mutex> structural(shard.structural);
+        for (const std::size_t i : groups[p]) {
+          StripedEnqueueInsertLocked(shard, batch[i],
+                                     first_rid + static_cast<row_id_t>(i));
         }
-        MaybeTriggerBackgroundMerge(shard);
-      } else {
-        WithShardExclusive(shard, [&] {
-          for (const std::size_t i : groups[p]) {
-            shard.column.InsertWithRid(batch[i],
-                                       first_rid + static_cast<row_id_t>(i));
-          }
-        });
       }
+      MaybeTriggerBackgroundMerge(shard);
     }
     live_size_.fetch_add(batch.size(), std::memory_order_relaxed);
   }
 
   /// Deletes one live tuple equal to `value` from its owning partition;
-  /// false when absent. Striped write mode runs the existence probe (a
-  /// point resolve, which cracks — a delete is a query here too) under
-  /// `structural` shared and buffers the surviving delete in a write
-  /// bucket; otherwise the whole operation runs under whole-partition
-  /// exclusion. Thread-safe.
+  /// false when absent. Runs the existence probe (a point resolve, which
+  /// cracks — a delete is a query here too) under `structural` shared and
+  /// buffers the surviving delete in a write bucket. Thread-safe.
   bool Delete(T value) {
     Shard& shard = *shards_[PartitionOf(value)];
     bool deleted;
-    if (UseStripedWrites()) {
-      {
-        const std::shared_lock<std::shared_mutex> structural(shard.structural);
-        deleted = StripedDeleteLocked(shard, value);
-      }
-      MaybeTriggerBackgroundMerge(shard);
-    } else {
-      deleted = WithShardExclusive(
-          shard, [&] { return shard.column.DeleteValue(value); });
+    {
+      const std::shared_lock<std::shared_mutex> structural(shard.structural);
+      deleted = StripedDeleteLocked(shard, value);
     }
+    MaybeTriggerBackgroundMerge(shard);
     if (deleted) live_size_.fetch_sub(1, std::memory_order_relaxed);
     return deleted;
   }
 
   /// Deletes one live tuple per batch entry (multiset semantics, same as a
-  /// Delete loop) with one latch acquisition per touched partition.
+  /// Delete loop) with one `structural` acquisition per touched partition.
   /// Returns how many tuples were actually deleted. Thread-safe.
   std::size_t DeleteBatch(std::span<const T> batch) {
     if (batch.empty()) return 0;
@@ -408,21 +332,13 @@ class PartitionedCrackerColumn {
     for (std::size_t p = 0; p < groups.size(); ++p) {
       if (groups[p].empty()) continue;
       Shard& shard = *shards_[p];
-      if (UseStripedWrites()) {
-        {
-          const std::shared_lock<std::shared_mutex> structural(shard.structural);
-          for (const std::size_t i : groups[p]) {
-            deleted += StripedDeleteLocked(shard, batch[i]) ? 1 : 0;
-          }
+      {
+        const std::shared_lock<std::shared_mutex> structural(shard.structural);
+        for (const std::size_t i : groups[p]) {
+          deleted += StripedDeleteLocked(shard, batch[i]) ? 1 : 0;
         }
-        MaybeTriggerBackgroundMerge(shard);
-      } else {
-        WithShardExclusive(shard, [&] {
-          for (const std::size_t i : groups[p]) {
-            deleted += shard.column.DeleteValue(batch[i]) ? 1 : 0;
-          }
-        });
       }
+      MaybeTriggerBackgroundMerge(shard);
     }
     live_size_.fetch_sub(deleted, std::memory_order_relaxed);
     return deleted;
@@ -665,14 +581,13 @@ class PartitionedCrackerColumn {
 
   /// Asks the borrowed pool to absorb partition `p`'s buffered and pending
   /// updates off the query path. Returns false (and changes nothing) when
-  /// the machine cannot run: no pool / no pool workers / kPartitionMutex /
-  /// shutting down / the shard is already off Normal. Thread-safe; the
+  /// the machine cannot run: no pool / no pool workers / shutting down /
+  /// the shard is already off Normal. Thread-safe; the
   /// write path calls this automatically once buffered writes cross
   /// background_merge_threshold.
   bool RequestBackgroundMerge(std::size_t p) {
     AIDX_CHECK(p < shards_.size());
     if (pool_ == nullptr || pool_->num_threads() == 0) return false;
-    if (options_.latch_mode != LatchMode::kStripedPiece) return false;
     if (shutting_down_.load(std::memory_order_acquire)) return false;
     Shard& shard = *shards_[p];
     if (shard.degraded.load(std::memory_order_acquire)) return false;
@@ -787,8 +702,8 @@ class PartitionedCrackerColumn {
   /// still-pending ones). Thread-safe.
   std::size_t size() const { return live_size_.load(std::memory_order_relaxed); }
   std::size_t num_partitions() const { return shards_.size(); }
-  /// Stripe-latch table capacity per partition (1 in kPartitionMutex mode;
-  /// the clamped latch_stripes option otherwise).
+  /// Stripe-latch table capacity per partition (the clamped latch_stripes
+  /// option).
   std::size_t latch_stripes() const { return shards_.front()->stripes.size(); }
   /// Partition p's *active* stripe count — how many of the allocated
   /// stripes the block hash currently maps to. Starts small and doubles
@@ -896,7 +811,7 @@ class PartitionedCrackerColumn {
     std::vector<StripedPendingTuple> deletes;
   };
 
-  /// Fast-path work counters (kStripedPiece). Relaxed atomics: bumped under
+  /// Fast-path work counters. Relaxed atomics: bumped under
   /// shared latches, aggregated into CrackerStats by AggregatedStats.
   struct StripedShardStats {
     std::atomic<std::size_t> num_selects{0};
@@ -910,16 +825,15 @@ class PartitionedCrackerColumn {
     Shard(std::vector<T> values, std::vector<row_id_t> row_ids,
           const CrackerColumnOptions& opts, const PartitionedCrackerOptions& parent,
           std::size_t self_index)
-        : stripes(parent.latch_mode == LatchMode::kStripedPiece
-                      ? std::clamp<std::size_t>(parent.latch_stripes, 1,
-                                                kMaxLatchStripes)
-                      : 1),
+        : stripes(std::clamp<std::size_t>(parent.latch_stripes, 1,
+                                          kMaxLatchStripes)),
           write_buckets(stripes.size()),
           active_stripes(std::min(kInitialActiveStripes, stripes.size())),
           index(self_index),
           // Same seed as the inner column's stochastic rng: single-threaded
-          // pure-query runs then pick identical pivots in both latch modes,
-          // which is what pins the differential stat-parity tests.
+          // pure-query runs then pick the pivots a plain per-partition
+          // column would, which is what pins the differential stat-parity
+          // tests (tests/partition_oracle.h).
           rng(opts.stochastic_seed),
           column(std::move(values), std::move(row_ids),
                  typename UpdatableCrackerColumn<T>::Options{
@@ -928,11 +842,7 @@ class PartitionedCrackerColumn {
                      .crack = opts},
                  /*first_fresh_rid=*/0) {}
 
-    // kPartitionMutex: the whole protocol — this latch guards `column`,
-    // including its stats and pending stores.
-    mutable std::mutex latch;
-
-    // kStripedPiece (docs/CONCURRENCY.md §4). Latch order: structural ->
+    // docs/CONCURRENCY.md §4. Latch order: structural ->
     // stripes (ascending) -> {index_latch | write-bucket mu | rng_latch},
     // the three leaves (nothing is acquired while holding any of them).
     //
@@ -1132,16 +1042,10 @@ class PartitionedCrackerColumn {
     return mask;
   }
 
-  /// Runs fn under whole-partition exclusion: the partition mutex in
-  /// kPartitionMutex mode, the structural latch (exclusive) in
-  /// kStripedPiece mode. Writes, merges, stats aggregation, and the raw
-  /// Select path use this.
+  /// Runs fn under whole-partition exclusion (`structural` exclusive).
+  /// Merges, stats aggregation, and the raw Select path use this.
   template <typename Fn>
   decltype(auto) WithShardExclusive(const Shard& shard, Fn&& fn) const {
-    if (options_.latch_mode == LatchMode::kPartitionMutex) {
-      const std::lock_guard<std::mutex> guard(shard.latch);
-      return fn();
-    }
     const std::unique_lock<std::shared_mutex> guard(shard.structural);
     return fn();
   }
@@ -1210,8 +1114,7 @@ class PartitionedCrackerColumn {
   }
 
   /// The striped read protocol's one skeleton, shared by Count/Sum/
-  /// Materialize*. kPartitionMutex: whole-partition exclusion + `coarse`.
-  /// kStripedPiece, under `structural` shared:
+  /// Materialize*. Under `structural` shared:
   ///
   ///  - no pending update matches `pred` (PendingOverlaps): run
   ///    `fast(resolved range)` under the shared stripe masks of the edges —
@@ -1234,10 +1137,6 @@ class PartitionedCrackerColumn {
   auto StripedReadOrCoarse(Shard& shard, const RangePredicate<T>& pred,
                            bool core_needs_values, FastFn&& fast,
                            OverlayFn&& overlay, CoarseFn&& coarse) {
-    if (options_.latch_mode == LatchMode::kPartitionMutex) {
-      const std::lock_guard<std::mutex> guard(shard.latch);
-      return coarse();
-    }
     using Result = decltype(coarse());
     Result result{};
     bool answered = false;
@@ -1434,8 +1333,8 @@ class PartitionedCrackerColumn {
   // Caller holds `structural` shared and has established that no pending
   // update needs merging for this predicate. Mirrors CrackerColumn::Select
   // decision-for-decision (crack-in-three fast path, stochastic pre-cracks,
-  // sub-threshold edges) so that single-threaded runs produce bit-identical
-  // piece structures and stats in both latch modes.
+  // sub-threshold edges) so that single-threaded runs produce the piece
+  // structures and stats of the coarse path (tests/partition_oracle.h).
 
   StripedRange StripedResolve(Shard& shard, const RangePredicate<T>& pred) {
     shard.striped_stats.num_selects.fetch_add(1, std::memory_order_relaxed);
@@ -1677,11 +1576,6 @@ class PartitionedCrackerColumn {
 
   // -- The striped write path (docs/CONCURRENCY.md §4) ---------------------
 
-  bool UseStripedWrites() const {
-    return options_.latch_mode == LatchMode::kStripedPiece &&
-           options_.write_mode == WriteMode::kStripedWrite;
-  }
-
   WriteBucket& BucketFor(const Shard& shard, T value) const {
     return shard.write_buckets[std::hash<T>{}(value) %
                                shard.write_buckets.size()];
@@ -1826,7 +1720,6 @@ class PartitionedCrackerColumn {
   /// holds whole-partition exclusion, so no thread can hold a stripe latch
   /// and the block -> stripe remap is safe.
   void MaybeGrowStripes(Shard& shard) const {
-    if (options_.latch_mode != LatchMode::kStripedPiece) return;
     const std::size_t cuts = shard.column.index().num_cuts();
     shard.realized_cuts.store(cuts, std::memory_order_relaxed);
     const std::size_t cap = shard.stripes.size();

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 #include <vector>
 
 #include "storage/predicate.h"
@@ -106,6 +107,11 @@ struct FanoutParam {
   std::size_t leaf_capacity;
   std::size_t internal_fanout;
 };
+
+// gtest printer, so the ctest names carry the geometry, not raw bytes.
+void PrintTo(const FanoutParam& param, std::ostream* os) {
+  *os << "leaf" << param.leaf_capacity << "_fan" << param.internal_fanout;
+}
 
 class BPlusTreeFanoutTest : public ::testing::TestWithParam<FanoutParam> {};
 

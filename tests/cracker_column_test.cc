@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 #include <vector>
 
 #include "index/scan.h"
@@ -182,6 +183,10 @@ struct ConfigParam {
   std::int64_t domain;  // small => heavy duplicates
   const char* name;
 };
+
+// gtest printer: without it the ctest names embed the struct's raw bytes,
+// padding and the `name` pointer included, so they changed between builds.
+void PrintTo(const ConfigParam& param, std::ostream* os) { *os << param.name; }
 
 class CrackerColumnConfigTest : public ::testing::TestWithParam<ConfigParam> {};
 

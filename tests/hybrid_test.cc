@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <ostream>
 #include <vector>
 
 #include "core/organizer.h"
@@ -13,6 +14,11 @@
 #include "util/rng.h"
 
 namespace aidx {
+
+// gtest printer for OrganizerModeTest's parameter (the mode letter instead
+// of its raw byte). It lives beside the enum's namespace so gtest finds it.
+void PrintTo(OrganizeMode mode, std::ostream* os) { *os << OrganizeModeLetter(mode); }
+
 namespace {
 
 using Pred = RangePredicate<std::int64_t>;

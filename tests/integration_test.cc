@@ -1,15 +1,11 @@
 // Integration matrix: every strategy × every workload pattern × several
 // data distributions, validated query-by-query against the scan oracle.
-// Also: the coarse-latch concurrency baseline and the multi-attribute
-// sideways select.
+// Also: the multi-attribute sideways select.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <thread>
 #include <vector>
 
 #include "exec/access_path.h"
-#include "exec/serialized_path.h"
 #include "index/scan.h"
 #include "sideways/sideways.h"
 #include "util/rng.h"
@@ -102,34 +98,6 @@ std::string MatrixName(const ::testing::TestParamInfo<MatrixParam>& info) {
 
 INSTANTIATE_TEST_SUITE_P(Matrix, StrategyWorkloadMatrixTest,
                          ::testing::ValuesIn(BuildMatrix()), MatrixName);
-
-TEST(SerializedPathTest, ConcurrentQueriesOnSharedCrackedColumn) {
-  const std::size_t n = 50000;
-  const auto data = GenerateData({.n = n, .domain = static_cast<std::int64_t>(n),
-                                  .seed = 91});
-  auto path = MakeSerializedAccessPath<std::int64_t>(data, StrategyConfig::Crack());
-  EXPECT_EQ(path->name(), "crack+latch");
-
-  constexpr int kThreads = 4;
-  constexpr int kQueriesPerThread = 200;
-  std::atomic<std::size_t> mismatches{0};
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t]() {
-      Rng rng(1000 + static_cast<std::uint64_t>(t));
-      for (int q = 0; q < kQueriesPerThread; ++q) {
-        const auto a = static_cast<std::int64_t>(rng.NextBounded(n));
-        const auto pred = Pred::Between(a, a + 500);
-        const std::size_t got = path->Count(pred);
-        const std::size_t expect = ScanCount<std::int64_t>(data, pred);
-        if (got != expect) mismatches.fetch_add(1);
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(mismatches.load(), 0u);
-}
 
 TEST(SidewaysMultiSelectTest, SelectCountWhereMatchesRowOracle) {
   const std::size_t n = 4000;

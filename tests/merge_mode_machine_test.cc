@@ -5,7 +5,7 @@
 //    shard off Normal, a second request while off Normal is rejected, and
 //    the machine always returns to Normal once the merge drains;
 //  - requests degrade to "did not run" (false, no state change) without a
-//    pool, without pool workers, or under kPartitionMutex;
+//    pool or without pool workers;
 //  - readers are never blocked while a shard is Merging: queries running
 //    concurrently with a chunked background merge stay exact throughout;
 //  - background merge is observationally identical to the foreground
@@ -53,8 +53,6 @@ PartitionedCrackerOptions MachineOptions(std::size_t threshold,
                                          std::size_t chunk = 128) {
   PartitionedCrackerOptions options;
   options.num_partitions = 2;
-  options.latch_mode = LatchMode::kStripedPiece;
-  options.write_mode = WriteMode::kStripedWrite;
   options.background_merge_threshold = threshold;
   options.background_merge_chunk = chunk;
   return options;
@@ -72,8 +70,6 @@ TEST(MergeModeMachineTest, ShardsStartNormalAndNamesRoundTrip) {
                "prepare-to-merge");
   EXPECT_STREQ(ShardMergeModeName(ShardMergeMode::kMerging), "merging");
   EXPECT_STREQ(ShardMergeModeName(ShardMergeMode::kMerged), "merged");
-  EXPECT_STREQ(WriteModeName(WriteMode::kStripedWrite), "striped-write");
-  EXPECT_STREQ(WriteModeName(WriteMode::kCoarseWrite), "coarse-write");
 }
 
 TEST(MergeModeMachineTest, RequestsDegradeWithoutARunnableMachine) {
@@ -88,13 +84,6 @@ TEST(MergeModeMachineTest, RequestsDegradeWithoutARunnableMachine) {
     Column col(base, MachineOptions(8), &empty_pool);
     EXPECT_FALSE(col.RequestBackgroundMerge(0));
     EXPECT_EQ(col.shard_mode(0), ShardMergeMode::kNormal);
-  }
-  {
-    ThreadPool pool(1);
-    PartitionedCrackerOptions options = MachineOptions(8);
-    options.latch_mode = LatchMode::kPartitionMutex;
-    Column col(base, options, &pool);
-    EXPECT_FALSE(col.RequestBackgroundMerge(0));
   }
 }
 
@@ -318,27 +307,34 @@ TEST(MergeModeMachineTest, MoveTransfersAQuiescentMachine) {
   EXPECT_TRUE(moved.ValidatePieces());
 }
 
-// The NeedsMergeFor fix (satellite: overlap-only merge decisions for every
-// policy): traffic disjoint from all pending keys must never leave the
-// shared fast path, so the coarse-read counter stays zero.
+// The NeedsMergeFor fix (overlap-only merge decisions for every policy):
+// traffic disjoint from all pending keys must never leave the shared fast
+// path, so the coarse-read counter stays zero.
 TEST(MergeModeMachineTest, DisjointQueriesKeepFullFastPathHitRate) {
   for (const MergePolicy policy :
        {MergePolicy::kRipple, MergePolicy::kComplete, MergePolicy::kGradual}) {
-  for (const WriteMode write_mode :
-       {WriteMode::kStripedWrite, WriteMode::kCoarseWrite}) {
-    // kCoarseWrite places the pending tuples in the internal per-shard
-    // stores, the exact spot where NeedsMergeFor used to short-circuit to
-    // "merge everything" under kComplete/kGradual; kStripedWrite places
-    // them in the write buckets. Neither location may tax disjoint reads.
+  for (const bool drained : {false, true}) {
+    // Writes park in the write buckets. `drained` then runs one overlapping
+    // narrow read, which takes the coarse path: it drains the buckets into
+    // the shard's inner pending stores and merges only part of them —
+    // the exact spot where NeedsMergeFor used to short-circuit to "merge
+    // everything". kComplete merges every pending tuple on that read, so
+    // it has no inner-store case. Neither location may tax disjoint reads.
+    if (drained && policy == MergePolicy::kComplete) continue;
     const auto base = RandomValues(8000, 1000, 41);
     PartitionedCrackerOptions options = MachineOptions(/*threshold=*/0);
     options.merge_policy = policy;
-    options.write_mode = write_mode;
     Column col(base, options);
     // Warm up the cracked structure, then buffer writes far above the
     // query domain: every pending key is >= 5000, every query is < 1000.
     (void)col.Count(Pred::Between(100, 900));
-    for (std::int64_t v = 0; v < 50; ++v) col.Insert(5000 + v);
+    for (std::int64_t v = 0; v < 200; ++v) col.Insert(5000 + v);
+    if (drained) {
+      const std::size_t coarse = col.AggregatedReadPathStats().coarse_reads;
+      ASSERT_EQ(col.Count(Pred::Between(5000, 5009)), 10u);
+      ASSERT_EQ(col.AggregatedReadPathStats().coarse_reads, coarse + 1)
+          << MergePolicyName(policy);
+    }
     ASSERT_GT(col.pending_update_count(), 0u);
     const StripedReadPathStats before = col.AggregatedReadPathStats();
     Rng rng(42);
@@ -350,10 +346,10 @@ TEST(MergeModeMachineTest, DisjointQueriesKeepFullFastPathHitRate) {
     }
     const StripedReadPathStats after = col.AggregatedReadPathStats();
     EXPECT_EQ(after.coarse_reads, before.coarse_reads)
-        << MergePolicyName(policy)
+        << MergePolicyName(policy) << (drained ? " drained" : " buffered")
         << ": disjoint queries must not take the exclusive fallback";
     EXPECT_GT(after.fast_reads, before.fast_reads) << MergePolicyName(policy);
-    // The buffered writes are still there — nothing forced them to merge.
+    // The pending writes are still there — nothing forced them to merge.
     EXPECT_GT(col.pending_update_count(), 0u) << MergePolicyName(policy);
   }
   }

@@ -1,14 +1,14 @@
 // Striped piece-latch correctness (docs/CONCURRENCY.md §4–§5):
 //
-//  - differential oracle: single-threaded, kStripedPiece must produce the
-//    same answers AND the same adaptation stats as the kPartitionMutex
-//    baseline (the striped fast path mirrors the coarse Select
-//    decision-for-decision);
+//  - differential oracle: single-threaded, the striped protocol must
+//    produce the same answers AND the same adaptation stats as K plain
+//    per-partition columns (tests/partition_oracle.h; the striped fast
+//    path mirrors the coarse Select decision-for-decision);
 //  - stripe collisions: with a 1- or 2-entry latch table every piece maps
 //    to the same stripe(s), so disjoint-piece cracks serialize through
 //    latch collisions — answers must stay exact under full contention;
-//  - high-thread mixed read/write stress in both latch modes, with
-//    ValidatePieces() and exact total balancing afterwards;
+//  - high-thread mixed read/write stress, with ValidatePieces() and exact
+//    total balancing afterwards;
 //  - same-partition concurrent cracking (num_partitions = 1): the exact
 //    contention the striped table exists to relieve — every query cracks
 //    the one partition, results checked against a scan oracle.
@@ -25,6 +25,7 @@
 #include "exec/access_path.h"
 #include "index/scan.h"
 #include "parallel/partitioned_cracker_column.h"
+#include "partition_oracle.h"
 #include "util/rng.h"
 
 namespace aidx {
@@ -32,6 +33,7 @@ namespace {
 
 using Pred = RangePredicate<std::int64_t>;
 using Column = PartitionedCrackerColumn<std::int64_t>;
+using Oracle = PartitionOracle<std::int64_t>;
 
 std::vector<std::int64_t> RandomValues(std::size_t n, std::int64_t domain,
                                        std::uint64_t seed) {
@@ -54,11 +56,10 @@ Pred RandomPredicate(Rng* rng, std::int64_t domain) {
   return Pred{a, kind(), a + width, kind()};
 }
 
-PartitionedCrackerOptions ModeOptions(LatchMode mode, std::size_t partitions,
-                                      std::size_t stripes = 16) {
+PartitionedCrackerOptions StripedOptions(std::size_t partitions,
+                                         std::size_t stripes = 16) {
   PartitionedCrackerOptions options;
   options.num_partitions = partitions;
-  options.latch_mode = mode;
   options.latch_stripes = stripes;
   return options;
 }
@@ -71,54 +72,51 @@ void ExpectStatsEqual(const CrackerStats& a, const CrackerStats& b) {
   EXPECT_EQ(a.values_touched, b.values_touched);
 }
 
-// The core differential pin: same queries, same order, both latch modes —
-// identical answers and identical physical adaptation (crack counts and
-// touched-value totals), because single-threaded the striped fast path must
-// make exactly the coarse path's decisions.
+// The core differential pin: same queries, same order, against the plain
+// per-partition columns the partitioned structure stands for — identical
+// answers and identical physical adaptation (crack counts and touched-value
+// totals), because single-threaded the striped fast path must make exactly
+// the coarse path's decisions.
 TEST(StripedLatchTest, DifferentialCountSumMatchesPartitionMutexOracle) {
   const auto base = RandomValues(20000, 4000, 71);
-  Column striped(base, ModeOptions(LatchMode::kStripedPiece, 8));
-  Column coarse(base, ModeOptions(LatchMode::kPartitionMutex, 8));
+  Column striped(base, StripedOptions(8));
+  Oracle oracle(base, striped);
   Rng rng(72);
   for (int q = 0; q < 300; ++q) {
     const Pred p = RandomPredicate(&rng, 4000);
-    ASSERT_EQ(striped.Count(p), coarse.Count(p)) << p.ToString();
-    ASSERT_EQ(striped.Sum(p), coarse.Sum(p)) << p.ToString();
+    ASSERT_EQ(striped.Count(p), oracle.Count(p)) << p.ToString();
+    ASSERT_EQ(striped.Sum(p), oracle.Sum(p)) << p.ToString();
   }
-  ExpectStatsEqual(striped.AggregatedStats(), coarse.AggregatedStats());
+  ExpectStatsEqual(striped.AggregatedStats(), oracle.AggregatedStats());
   EXPECT_TRUE(striped.ValidatePieces());
-  EXPECT_TRUE(coarse.ValidatePieces());
+  EXPECT_TRUE(oracle.Validate());
 }
 
 // Differential pin with writes in the mix, for every merge policy: pending
-// updates force the striped slow path, which must behave exactly like the
-// partition-mutex protocol (it runs the same coarse code).
+// updates force the striped slow path, which must answer exactly like the
+// oracle's per-partition columns (it runs the same coarse code).
 TEST(StripedLatchTest, DifferentialWithUpdatesAllMergePolicies) {
   for (const MergePolicy policy :
        {MergePolicy::kRipple, MergePolicy::kComplete, MergePolicy::kGradual}) {
     constexpr std::int64_t kDomain = 2000;
     auto model = RandomValues(8000, kDomain, 73);
-    PartitionedCrackerOptions striped_opts =
-        ModeOptions(LatchMode::kStripedPiece, 6);
+    PartitionedCrackerOptions striped_opts = StripedOptions(6);
     striped_opts.merge_policy = policy;
-    PartitionedCrackerOptions coarse_opts =
-        ModeOptions(LatchMode::kPartitionMutex, 6);
-    coarse_opts.merge_policy = policy;
     Column striped(model, striped_opts);
-    Column coarse(model, coarse_opts);
+    Oracle oracle(model, striped);
     Rng rng(74);
     for (int step = 0; step < 500; ++step) {
       const auto dice = rng.NextBounded(10);
       if (dice < 3) {
         const auto v = static_cast<std::int64_t>(rng.NextBounded(kDomain));
         striped.Insert(v);
-        coarse.Insert(v);
+        oracle.Insert(v);
         model.push_back(v);
       } else if (dice < 5 && !model.empty()) {
         const std::size_t pick = rng.NextBounded(model.size());
         const std::int64_t v = model[pick];
         ASSERT_TRUE(striped.Delete(v)) << "step " << step;
-        ASSERT_TRUE(coarse.Delete(v)) << "step " << step;
+        ASSERT_TRUE(oracle.Delete(v)) << "step " << step;
         model[pick] = model.back();
         model.pop_back();
       } else {
@@ -126,13 +124,13 @@ TEST(StripedLatchTest, DifferentialWithUpdatesAllMergePolicies) {
         const std::size_t expect = ScanCount<std::int64_t>(model, p);
         ASSERT_EQ(striped.Count(p), expect)
             << MergePolicyName(policy) << " step " << step << " " << p.ToString();
-        ASSERT_EQ(coarse.Count(p), expect)
+        ASSERT_EQ(oracle.Count(p), expect)
             << MergePolicyName(policy) << " step " << step << " " << p.ToString();
       }
     }
     EXPECT_EQ(striped.size(), model.size());
     EXPECT_TRUE(striped.ValidatePieces());
-    EXPECT_TRUE(coarse.ValidatePieces());
+    EXPECT_TRUE(oracle.Validate());
   }
 }
 
@@ -144,7 +142,7 @@ TEST(StripedLatchTest, StripeCollisionsStaySound) {
   constexpr std::int64_t kDomain = 3000;
   const auto base = RandomValues(24000, kDomain, 75);
   for (const std::size_t stripes : {std::size_t{1}, std::size_t{2}}) {
-    Column col(base, ModeOptions(LatchMode::kStripedPiece, 4, stripes));
+    Column col(base, StripedOptions(4, stripes));
     ASSERT_EQ(col.latch_stripes(), stripes);
 
     constexpr std::size_t kThreads = 8;
@@ -177,7 +175,7 @@ TEST(StripedLatchTest, SamePartitionConcurrentCrackStress) {
   constexpr int kQueriesPerThread = 150;
   constexpr std::int64_t kDomain = 2000;
   const auto base = RandomValues(30000, kDomain, 77);
-  Column col(base, ModeOptions(LatchMode::kStripedPiece, 1));
+  Column col(base, StripedOptions(1));
   ASSERT_EQ(col.num_partitions(), 1u);
 
   std::atomic<int> failures{0};
@@ -205,75 +203,71 @@ TEST(StripedLatchTest, SamePartitionConcurrentCrackStress) {
   EXPECT_TRUE(col.ValidatePieces());
 }
 
-// §5's "invariants survive" check, run as the issue specifies: high-thread
-// mixed read/write stress, then ValidatePieces() — in BOTH latch modes.
-// Writers insert fresh values above the base domain (so only their inserter
-// deletes them), readers count throughout; afterwards totals must balance
-// exactly and every piece invariant must hold.
-TEST(StripedLatchTest, ValidatePiecesAfterMixedStressBothModes) {
-  for (const LatchMode mode :
-       {LatchMode::kStripedPiece, LatchMode::kPartitionMutex}) {
-    constexpr std::size_t kWriters = 4;
-    constexpr std::size_t kReaders = 4;
-    constexpr int kOpsPerThread = 300;
-    constexpr std::int64_t kDomain = 2000;
-    const auto base = RandomValues(16000, kDomain, 79);
-    Column col(base, ModeOptions(mode, 8));
+// §5's "invariants survive" check: high-thread mixed read/write stress,
+// then ValidatePieces(). Writers insert fresh values above the base domain
+// (so only their inserter deletes them), readers count throughout;
+// afterwards totals must balance exactly and every piece invariant must
+// hold.
+TEST(StripedLatchTest, ValidatePiecesAfterMixedStress) {
+  constexpr std::size_t kWriters = 4;
+  constexpr std::size_t kReaders = 4;
+  constexpr int kOpsPerThread = 300;
+  constexpr std::int64_t kDomain = 2000;
+  const auto base = RandomValues(16000, kDomain, 79);
+  Column col(base, StripedOptions(8));
 
-    std::atomic<std::size_t> inserted{0};
-    std::atomic<std::size_t> deleted{0};
-    std::atomic<int> failures{0};
-    std::vector<std::thread> threads;
-    threads.reserve(kWriters + kReaders);
-    for (std::size_t t = 0; t < kWriters; ++t) {
-      threads.emplace_back([&, t] {
-        Rng rng(9000 + t);
-        std::vector<std::int64_t> own;
-        for (int i = 0; i < kOpsPerThread; ++i) {
-          if (own.empty() || rng.NextBounded(3) != 0) {
-            const auto v = static_cast<std::int64_t>(
-                kDomain + 1 + t + kWriters * rng.NextBounded(1000));
-            col.Insert(v);
-            own.push_back(v);
-            inserted.fetch_add(1);
+  std::atomic<std::size_t> inserted{0};
+  std::atomic<std::size_t> deleted{0};
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  threads.reserve(kWriters + kReaders);
+  for (std::size_t t = 0; t < kWriters; ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(9000 + t);
+      std::vector<std::int64_t> own;
+      for (int i = 0; i < kOpsPerThread; ++i) {
+        if (own.empty() || rng.NextBounded(3) != 0) {
+          const auto v = static_cast<std::int64_t>(
+              kDomain + 1 + t + kWriters * rng.NextBounded(1000));
+          col.Insert(v);
+          own.push_back(v);
+          inserted.fetch_add(1);
+        } else {
+          const std::size_t pick = rng.NextBounded(own.size());
+          if (col.Delete(own[pick])) {
+            deleted.fetch_add(1);
           } else {
-            const std::size_t pick = rng.NextBounded(own.size());
-            if (col.Delete(own[pick])) {
-              deleted.fetch_add(1);
-            } else {
-              failures.fetch_add(1);
-            }
-            own[pick] = own.back();
-            own.pop_back();
-          }
-        }
-      });
-    }
-    for (std::size_t t = 0; t < kReaders; ++t) {
-      threads.emplace_back([&, t] {
-        Rng rng(9500 + t);
-        for (int q = 0; q < kOpsPerThread; ++q) {
-          const Pred p = RandomPredicate(&rng, kDomain);
-          // Base values are never deleted: the live count is at least the
-          // base's match count at all times.
-          if (col.Count(p) < ScanCount<std::int64_t>(base, p)) {
             failures.fetch_add(1);
           }
+          own[pick] = own.back();
+          own.pop_back();
         }
-      });
-    }
-    for (auto& thread : threads) thread.join();
-    EXPECT_EQ(failures.load(), 0) << LatchModeName(mode);
-    EXPECT_EQ(col.size(), base.size() + inserted.load() - deleted.load())
-        << LatchModeName(mode);
-    EXPECT_EQ(col.Count(Pred::All()), col.size()) << LatchModeName(mode);
-    EXPECT_TRUE(col.ValidatePieces()) << LatchModeName(mode);
+      }
+    });
   }
+  for (std::size_t t = 0; t < kReaders; ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(9500 + t);
+      for (int q = 0; q < kOpsPerThread; ++q) {
+        const Pred p = RandomPredicate(&rng, kDomain);
+        // Base values are never deleted: the live count is at least the
+        // base's match count at all times.
+        if (col.Count(p) < ScanCount<std::int64_t>(base, p)) {
+          failures.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(col.size(), base.size() + inserted.load() - deleted.load());
+  EXPECT_EQ(col.Count(Pred::All()), col.size());
+  EXPECT_TRUE(col.ValidatePieces());
 }
 
 TEST(StripedLatchTest, MaterializeMatchesOracleStriped) {
   const auto base = RandomValues(6000, 400, 81);
-  PartitionedCrackerOptions options = ModeOptions(LatchMode::kStripedPiece, 4);
+  PartitionedCrackerOptions options = StripedOptions(4);
   options.column_options.with_row_ids = true;
   Column col(base, options);
   Rng rng(82);
@@ -309,20 +303,18 @@ TEST(StripedLatchTest, MaterializeMatchesOracleStriped) {
 // single-threaded must match the coarse stochastic path's stats exactly).
 TEST(StripedLatchTest, StochasticStripedMatchesOracle) {
   const auto base = RandomValues(30000, 6000, 83);
-  PartitionedCrackerOptions striped_opts = ModeOptions(LatchMode::kStripedPiece, 4);
+  PartitionedCrackerOptions striped_opts = StripedOptions(4);
   striped_opts.column_options.stochastic_threshold = 512;
-  PartitionedCrackerOptions coarse_opts = ModeOptions(LatchMode::kPartitionMutex, 4);
-  coarse_opts.column_options.stochastic_threshold = 512;
   Column striped(base, striped_opts);
-  Column coarse(base, coarse_opts);
+  Oracle oracle(base, striped);
   Rng rng(84);
   for (int q = 0; q < 150; ++q) {
     const Pred p = RandomPredicate(&rng, 6000);
     const std::size_t expect = ScanCount<std::int64_t>(base, p);
     ASSERT_EQ(striped.Count(p), expect) << p.ToString();
-    ASSERT_EQ(coarse.Count(p), expect) << p.ToString();
+    ASSERT_EQ(oracle.Count(p), expect) << p.ToString();
   }
-  ExpectStatsEqual(striped.AggregatedStats(), coarse.AggregatedStats());
+  ExpectStatsEqual(striped.AggregatedStats(), oracle.AggregatedStats());
   EXPECT_GT(striped.AggregatedStats().num_stochastic_cracks, 0u);
   EXPECT_TRUE(striped.ValidatePieces());
 }
@@ -331,19 +323,17 @@ TEST(StripedLatchTest, StochasticStripedMatchesOracle) {
 // are scanned (under shared stripes) instead of cracked.
 TEST(StripedLatchTest, MinPieceEdgesStripedMatchesOracle) {
   const auto base = RandomValues(20000, 2500, 85);
-  PartitionedCrackerOptions striped_opts = ModeOptions(LatchMode::kStripedPiece, 4);
+  PartitionedCrackerOptions striped_opts = StripedOptions(4);
   striped_opts.column_options.min_piece_size = 128;
-  PartitionedCrackerOptions coarse_opts = ModeOptions(LatchMode::kPartitionMutex, 4);
-  coarse_opts.column_options.min_piece_size = 128;
   Column striped(base, striped_opts);
-  Column coarse(base, coarse_opts);
+  Oracle oracle(base, striped);
   Rng rng(86);
   for (int q = 0; q < 200; ++q) {
     const Pred p = RandomPredicate(&rng, 2500);
-    ASSERT_EQ(striped.Count(p), coarse.Count(p)) << p.ToString();
-    ASSERT_EQ(striped.Sum(p), coarse.Sum(p)) << p.ToString();
+    ASSERT_EQ(striped.Count(p), oracle.Count(p)) << p.ToString();
+    ASSERT_EQ(striped.Sum(p), oracle.Sum(p)) << p.ToString();
   }
-  ExpectStatsEqual(striped.AggregatedStats(), coarse.AggregatedStats());
+  ExpectStatsEqual(striped.AggregatedStats(), oracle.AggregatedStats());
 
   // Concurrent smoke on the edge path.
   constexpr std::size_t kThreads = 6;
@@ -367,12 +357,10 @@ TEST(StripedLatchTest, MinPieceEdgesStripedMatchesOracle) {
 
 TEST(StripedLatchTest, LatchStripeCountIsClamped) {
   const auto base = RandomValues(1000, 100, 87);
-  Column tiny(base, ModeOptions(LatchMode::kStripedPiece, 2, 0));
+  Column tiny(base, StripedOptions(2, 0));
   EXPECT_EQ(tiny.latch_stripes(), 1u);
-  Column huge(base, ModeOptions(LatchMode::kStripedPiece, 2, 1000));
+  Column huge(base, StripedOptions(2, 1000));
   EXPECT_EQ(huge.latch_stripes(), 64u);
-  Column coarse(base, ModeOptions(LatchMode::kPartitionMutex, 2, 1000));
-  EXPECT_EQ(coarse.latch_stripes(), 1u);  // unused in mutex mode
   EXPECT_EQ(huge.Count(Pred::All()), base.size());
 }
 
@@ -383,89 +371,79 @@ TEST(StripedLatchTest, LatchStripeCountIsClamped) {
 // lands both of its cuts inside it.
 TEST(StripedLatchTest, EmptyPieceThreeWayKeepsStatParity) {
   const std::vector<std::int64_t> base = {1, 7};
-  Column striped(base, ModeOptions(LatchMode::kStripedPiece, 1));
-  Column coarse(base, ModeOptions(LatchMode::kPartitionMutex, 1));
+  Column striped(base, StripedOptions(1));
+  Oracle oracle(base, striped);
   for (const Pred& p : {Pred::Between(2, 4), Pred::Between(3, 3)}) {
-    ASSERT_EQ(striped.Count(p), coarse.Count(p)) << p.ToString();
+    ASSERT_EQ(striped.Count(p), oracle.Count(p)) << p.ToString();
   }
-  ExpectStatsEqual(striped.AggregatedStats(), coarse.AggregatedStats());
+  ExpectStatsEqual(striped.AggregatedStats(), oracle.AggregatedStats());
   EXPECT_GT(striped.AggregatedStats().num_crack_in_three, 0u);
   EXPECT_TRUE(striped.ValidatePieces());
 }
 
 TEST(StripedLatchTest, EmptyAndDegenerateColumns) {
-  Column empty(std::span<const std::int64_t>{},
-               ModeOptions(LatchMode::kStripedPiece, 4));
+  Column empty(std::span<const std::int64_t>{}, StripedOptions(4));
   EXPECT_EQ(empty.Count(Pred::Between(1, 10)), 0u);
   EXPECT_TRUE(empty.ValidatePieces());
 
   const std::vector<std::int64_t> dupes(2000, 42);
-  Column col(dupes, ModeOptions(LatchMode::kStripedPiece, 8));
+  Column col(dupes, StripedOptions(8));
   EXPECT_EQ(col.Count(Pred::Between(42, 42)), 2000u);
   EXPECT_EQ(col.Count(Pred::LessThan(42)), 0u);
   EXPECT_TRUE(col.ValidatePieces());
 }
 
-// The latch knobs are part of the strategy identity: distinct display names
-// (nothing keyed on the name may alias modes) and distinct configs (the
-// Database path cache keys on the full config).
+// The stripe-table size is part of the strategy identity: a distinct
+// display name (nothing keyed on the name may alias it) and a distinct
+// config (the Database path cache keys on the full config).
 TEST(StripedLatchTest, StrategyKnobsAreDistinct) {
   const StrategyConfig striped = StrategyConfig::ParallelCrack(8, 4);
-  const StrategyConfig mutex_mode =
-      StrategyConfig::ParallelCrack(8, 4, LatchMode::kPartitionMutex);
-  const StrategyConfig wide =
-      StrategyConfig::ParallelCrack(8, 4, LatchMode::kStripedPiece, 32);
+  const StrategyConfig wide = StrategyConfig::ParallelCrack(8, 4, 32);
   EXPECT_EQ(striped.DisplayName(), "pcrack(8x4)");
-  EXPECT_EQ(mutex_mode.DisplayName(), "pcrack(8x4-mtx)");
   EXPECT_EQ(wide.DisplayName(), "pcrack(8x4-s32)");
-  EXPECT_FALSE(striped == mutex_mode);
   EXPECT_FALSE(striped == wide);
-  EXPECT_FALSE(mutex_mode == wide);
 }
 
-// Both latch modes through the shared kParallelCrack access path, writers
-// in the mix, including the racy lazy-construction moment.
-TEST(StripedLatchTest, AccessPathMixedStressBothModes) {
-  for (const LatchMode mode :
-       {LatchMode::kStripedPiece, LatchMode::kPartitionMutex}) {
-    constexpr std::size_t kThreads = 6;
-    constexpr int kOpsPerThread = 150;
-    constexpr std::int64_t kDomain = 1500;
-    const auto base = RandomValues(12000, kDomain, 89);
-    const auto path = MakeAccessPath<std::int64_t>(
-        base, StrategyConfig::ParallelCrack(8, 2, mode));
+// The shared kParallelCrack access path with writers in the mix, including
+// the racy lazy-construction moment.
+TEST(StripedLatchTest, AccessPathMixedStress) {
+  constexpr std::size_t kThreads = 6;
+  constexpr int kOpsPerThread = 150;
+  constexpr std::int64_t kDomain = 1500;
+  const auto base = RandomValues(12000, kDomain, 89);
+  const auto path = MakeAccessPath<std::int64_t>(
+      base, StrategyConfig::ParallelCrack(8, 2));
 
-    std::atomic<int> failures{0};
-    std::vector<std::thread> threads;
-    threads.reserve(kThreads);
-    for (std::size_t t = 0; t < kThreads; ++t) {
-      threads.emplace_back([&, t] {
-        Rng rng(9800 + t);
-        std::vector<std::int64_t> own;
-        for (int i = 0; i < kOpsPerThread; ++i) {
-          const auto dice = rng.NextBounded(10);
-          if (dice < 2) {
-            const auto v = static_cast<std::int64_t>(
-                kDomain + 1 + t + kThreads * rng.NextBounded(500));
-            path->Insert(v);
-            own.push_back(v);
-          } else if (dice < 4 && !own.empty()) {
-            const std::size_t pick = rng.NextBounded(own.size());
-            if (!path->Delete(own[pick])) failures.fetch_add(1);
-            own[pick] = own.back();
-            own.pop_back();
-          } else {
-            const Pred p = RandomPredicate(&rng, kDomain);
-            if (path->Count(p) < ScanCount<std::int64_t>(base, p)) {
-              failures.fetch_add(1);
-            }
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(9800 + t);
+      std::vector<std::int64_t> own;
+      for (int i = 0; i < kOpsPerThread; ++i) {
+        const auto dice = rng.NextBounded(10);
+        if (dice < 2) {
+          const auto v = static_cast<std::int64_t>(
+              kDomain + 1 + t + kThreads * rng.NextBounded(500));
+          path->Insert(v);
+          own.push_back(v);
+        } else if (dice < 4 && !own.empty()) {
+          const std::size_t pick = rng.NextBounded(own.size());
+          if (!path->Delete(own[pick])) failures.fetch_add(1);
+          own[pick] = own.back();
+          own.pop_back();
+        } else {
+          const Pred p = RandomPredicate(&rng, kDomain);
+          if (path->Count(p) < ScanCount<std::int64_t>(base, p)) {
+            failures.fetch_add(1);
           }
         }
-      });
-    }
-    for (auto& thread : threads) thread.join();
-    EXPECT_EQ(failures.load(), 0) << LatchModeName(mode);
+      }
+    });
   }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(failures.load(), 0);
 }
 
 }  // namespace
